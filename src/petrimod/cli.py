@@ -346,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rename-cores", action="store_true",
                    help="allow consistent renaming of abstract node labels")
     p.add_argument("--budget", type=int, default=1_000_000,
-                   help="search step budget before giving up as undecided")
+                   help="accepted candidate expansions before giving up as undecided")
     p.set_defaults(func=_cmd_iso)
 
     p = sub.add_parser("factorize", help="split a net into transition atoms and recompose")

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass, field
+from functools import partial
 
 from .core import Alphabet, Kind, Module, Node, NodeId, abstract_of, closure, compose, empty_module
 from .errors import (
@@ -386,31 +387,39 @@ def _validate(env: Environment, alphabet_line: int):
             if len(set(side)) != len(side):
                 raise DslSyntaxError(f"{side_name} interface of {decl.name!r} repeats a node", decl.line)
 
-    # reference cycles among definitions make evaluation diverge; reject them
+    # reference cycles among definitions make evaluation diverge; reject them.
+    # Depth-first with an explicit stack, so long reference chains do not
+    # hit the interpreter's recursion limit.
     state: dict[str, int] = {}
-
-    def visit(name: str):
-        if state.get(name) == 1:
-            raise RecursiveDefinition(f"definition of {name!r} refers back to itself")
-        if state.get(name) == 2 or name not in env.definitions:
-            return
-        state[name] = 1
-        for ref in _refs(env.definitions[name]):
-            visit(ref)
-        state[name] = 2
-
-    for name in env.definitions:
-        visit(name)
+    for start in env.definitions:
+        if state.get(start) == 2:
+            continue
+        state[start] = 1
+        stack = [(start, _refs(env.definitions[start]))]
+        while stack:
+            name, pending = stack[-1]
+            ref = next(pending, None)
+            if ref is None:
+                state[name] = 2
+                stack.pop()
+            elif state.get(ref) == 1:
+                raise RecursiveDefinition(f"definition of {ref!r} refers back to itself")
+            elif state.get(ref) is None and ref in env.definitions:
+                state[ref] = 1
+                stack.append((ref, _refs(env.definitions[ref])))
 
 
 def _refs(expr: ModuleExpr):
-    if isinstance(expr, Ref):
-        yield expr.name
-    elif isinstance(expr, Compose):
-        yield from _refs(expr.left)
-        yield from _refs(expr.right)
-    elif isinstance(expr, (Closure, Abstr)):
-        yield from _refs(expr.inner)
+    """Referenced names, left to right."""
+    stack = [expr]
+    while stack:
+        e = stack.pop()
+        if isinstance(e, Ref):
+            yield e.name
+        elif isinstance(e, Compose):
+            stack += (e.right, e.left)
+        elif isinstance(e, (Closure, Abstr)):
+            stack.append(e.inner)
 
 
 def parse(text: str) -> Environment:
@@ -440,18 +449,35 @@ def evaluate(env: Environment, target: str | ModuleExpr) -> Module:
 
 
 def _eval(env: Environment, expr: ModuleExpr, counter) -> Module:
-    if isinstance(expr, Ref):
-        if expr.name in env.snippets:
-            return instantiate(env.snippets[expr.name], env.alphabet, f"i{next(counter)}")
-        if expr.name in env.definitions:
-            return _eval(env, env.definitions[expr.name], counter).with_name(expr.name)
-        raise UnboundName(f"{expr.name!r} is not bound", expr.line or None)
-    if isinstance(expr, Compose):
-        return compose(_eval(env, expr.left, counter), _eval(env, expr.right, counter))
-    if isinstance(expr, Closure):
-        return closure(_eval(env, expr.inner, counter))
-    if isinstance(expr, Abstr):
-        return abstract_of(_eval(env, expr.inner, counter))
-    if isinstance(expr, Empty):
-        return empty_module()
-    raise TypeError(f"not a module expression: {expr!r}")
+    """Post-order evaluation with explicit stacks, left operand first.
+
+    `work` holds expressions still to evaluate and pending operations as
+    (function, arity) pairs; `values` holds finished operands.
+    """
+    work: list = [expr]
+    values: list[Module] = []
+    while work:
+        item = work.pop()
+        if isinstance(item, tuple):
+            fn, arity = item
+            args = values[-arity:]
+            del values[-arity:]
+            values.append(fn(*args))
+        elif isinstance(item, Ref):
+            if item.name in env.snippets:
+                values.append(instantiate(env.snippets[item.name], env.alphabet, f"i{next(counter)}"))
+            elif item.name in env.definitions:
+                work += ((partial(Module.with_name, name=item.name), 1), env.definitions[item.name])
+            else:
+                raise UnboundName(f"{item.name!r} is not bound", item.line or None)
+        elif isinstance(item, Compose):
+            work += ((compose, 2), item.right, item.left)
+        elif isinstance(item, Closure):
+            work += ((closure, 1), item.inner)
+        elif isinstance(item, Abstr):
+            work += ((abstract_of, 1), item.inner)
+        elif isinstance(item, Empty):
+            values.append(empty_module())
+        else:
+            raise TypeError(f"not a module expression: {item!r}")
+    return values[0]

@@ -11,6 +11,7 @@ import hashlib
 import json
 import re
 import xml.etree.ElementTree as ET
+from collections import Counter
 from importlib import resources
 
 from .core import AtomicNodeId, Kind, Module, Node, NodeId
@@ -87,6 +88,10 @@ def loads(text: str) -> Module:
     if data.get("format") != DUMP_FORMAT:
         raise ParseError(f"expected format {DUMP_FORMAT!r}, got {data.get('format')!r}")
 
+    name = data.get("name")
+    if name is not None and not isinstance(name, str):
+        raise ParseError(f"name must be a string or null, got {name!r}")
+
     kinds = {k.value: k for k in Kind}
     try:
         nodes = []
@@ -95,13 +100,18 @@ def loads(text: str) -> Module:
             nid = _node_id(entry["id"], "nodes")
             if entry["kind"] not in kinds:
                 raise ParseError(f"unknown kind {entry['kind']!r}")
+            if not isinstance(entry["label"], str):
+                raise ParseError(f"{nid}: label must be a string, got {entry['label']!r}")
             nodes.append(Node(nid, entry["label"], kinds[entry["kind"]]))
-            if entry.get("tokens", 0):
-                marking[nid] = entry["tokens"]
+            tokens = entry.get("tokens", 0)
+            if type(tokens) is not int or tokens < 0:  # bool is an int subclass but not a count
+                raise ParseError(f"{nid}: tokens must be a non-negative integer, got {tokens!r}")
+            if tokens:
+                marking[nid] = tokens
         edges = [(_node_id(s, "edges"), _node_id(d, "edges")) for s, d in data["edges"]]
         left = [_node_id(e["id"], "left") for e in data["left"]]
         right = [_node_id(e["id"], "right") for e in data["right"]]
-        module = Module(nodes, edges, left, right, marking, data.get("name"))
+        module = Module(nodes, edges, left, right, marking, name)
     except ParseError:
         raise
     except (KeyError, TypeError, ValueError, AttributeError) as e:
@@ -257,7 +267,7 @@ def validate_pnml(text: str) -> None:
     ptnet_schema().validate_string(text)
     root = ET.fromstring(text)
     ids = [el.get("id") for el in root.iter() if el.get("id") is not None]
-    dup = sorted({i for i in ids if ids.count(i) > 1})
+    dup = sorted(i for i, count in Counter(ids).items() if count > 1)
     if dup:
         raise ValidationError(f"duplicate id(s): {dup}")
     known = set(ids)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .core import Interface, Kind, Module, NodeId
@@ -67,113 +68,208 @@ def _interface_positions(side: Interface, label_of) -> dict[NodeId, int]:
     return {slot.node: slot.index for slot in side.indexed(label_of)}
 
 
+class _Numbered:
+    """A module's nodes numbered in insertion order, with integer adjacency.
+
+    Adjacency lists are sorted by node number, never taken from the order of
+    the edge frozenset, so everything derived from them (colours, search
+    order, the witness) is independent of string hashing.
+    """
+
+    def __init__(self, m: Module):
+        self.ids = list(m.nodes)
+        pos = {nid: i for i, nid in enumerate(self.ids)}
+        self.out: list[list[int]] = [[] for _ in self.ids]
+        self.inn: list[list[int]] = [[] for _ in self.ids]
+        for s, d in m.edges:
+            self.out[pos[s]].append(pos[d])
+            self.inn[pos[d]].append(pos[s])
+        for adj in self.out:
+            adj.sort()
+        for adj in self.inn:
+            adj.sort()
+        self.out_set = [set(adj) for adj in self.out]
+        self.inn_set = [set(adj) for adj in self.inn]
+
+    def start_keys(self, m: Module, rename: bool) -> list[tuple]:
+        """Per node: kind, label ("*" for a renamable core), left and right
+        per-label index (0 when absent), in- and out-degree."""
+        left = _interface_positions(m.left, m.label_of)
+        right = _interface_positions(m.right, m.label_of)
+        keys = []
+        for nid, out, inn in zip(self.ids, self.out, self.inn):
+            node = m.nodes[nid]
+            label = "*" if rename and node.kind is Kind.ABSTRACT else node.label
+            keys.append((node.kind, label, left.get(nid, 0), right.get(nid, 0), len(inn), len(out)))
+        return keys
+
+
+def _refine(keys: list, out: list[list[int]], inn: list[list[int]]) -> list[int]:
+    """Colour refinement (1-dimensional Weisfeiler-Leman) to a fixpoint.
+
+    A node's next colour is its colour plus the sorted colours of its out-
+    and in-neighbours.  Colour numbers come from one table per round, in
+    order of first appearance, so nodes of two graphs refined together get
+    equal colours exactly when their refined neighbourhoods agree.
+    """
+    table: dict = {}
+    colours = [table.setdefault(k, len(table)) for k in keys]
+    count = len(table)
+    while True:
+        table = {}
+        colours_next = [
+            table.setdefault(
+                (c, tuple(sorted([colours[j] for j in o])), tuple(sorted([colours[j] for j in i]))),
+                len(table),
+            )
+            for c, o, i in zip(colours, out, inn)
+        ]
+        if len(table) == count:  # no class split: the partition is stable
+            return colours
+        colours, count = colours_next, len(table)
+
+
 class _Search:
+    """Colour refinement, then backtracking over a BFS order with an explicit stack.
+
+    Nodes of `a` are visited breadth-first, each component starting from a
+    node of the smallest colour cell.  A root may map to any unmapped node of
+    its colour; every other node only to an unmapped node of its colour
+    adjacent, in the same edge direction, to the image of its BFS parent
+    (the VF2 frontier of Cordella et al., 2004).  Equal colours imply equal
+    kind, label (up to core renaming), interface positions and degrees, so
+    the feasibility check is left with the core renaming and the edges to
+    already mapped nodes.
+    """
+
     def __init__(self, a: Module, b: Module, opts: IsoOptions, budget: int):
         self.a = a
         self.b = b
-        self.opts = opts
+        self.rename = opts.rename_abstract_cores
         self.budget = budget
         self.steps = 0
-
-        self.a_left = _interface_positions(a.left, a.label_of)
-        self.a_right = _interface_positions(a.right, a.label_of)
-        self.b_left = _interface_positions(b.left, b.label_of)
-        self.b_right = _interface_positions(b.right, b.label_of)
-
-        self.a_out: dict[NodeId, set[NodeId]] = {n: set() for n in a.nodes}
-        self.a_in: dict[NodeId, set[NodeId]] = {n: set() for n in a.nodes}
-        for s, d in a.edges:
-            self.a_out[s].add(d)
-            self.a_in[d].add(s)
-        self.b_out: dict[NodeId, set[NodeId]] = {n: set() for n in b.nodes}
-        self.b_in: dict[NodeId, set[NodeId]] = {n: set() for n in b.nodes}
-        for s, d in b.edges:
-            self.b_out[s].add(d)
-            self.b_in[d].add(s)
-
-        self.fwd: dict[NodeId, NodeId] = {}
-        self.rev: dict[NodeId, NodeId] = {}
+        self.ga = _Numbered(a)
+        self.gb = _Numbered(b)
+        self.fwd = [-1] * len(self.ga.ids)
+        self.rev = [-1] * len(self.gb.ids)
         self.ren: dict[str, str] = {}
         self.ren_rev: dict[str, str] = {}
 
-    def renames(self, u: NodeId) -> bool:
-        return self.opts.rename_abstract_cores and self.a.kind_of(u) is Kind.ABSTRACT
+    def colour(self) -> bool:
+        """Refine both modules together; False when the colour histograms differ."""
+        ga, gb = self.ga, self.gb
+        na = len(ga.ids)
+        # one node space: b's nodes follow a's
+        colours = _refine(
+            ga.start_keys(self.a, self.rename) + gb.start_keys(self.b, self.rename),
+            ga.out + [[j + na for j in adj] for adj in gb.out],
+            ga.inn + [[j + na for j in adj] for adj in gb.inn],
+        )
+        self.ca, self.cb = colours[:na], colours[na:]
+        self.cells_b: dict[int, list[int]] = {}
+        for v, c in enumerate(self.cb):
+            self.cells_b.setdefault(c, []).append(v)
+        self.cell_size = Counter(self.ca)
+        return all(len(self.cells_b.get(c, ())) == k for c, k in self.cell_size.items())
 
-    def feasible(self, u: NodeId, v: NodeId) -> bool:
-        na, nb = self.a.nodes[u], self.b.nodes[v]
-        if na.kind is not nb.kind:
-            return False
-        if self.renames(u):
-            if self.ren.get(na.label, nb.label) != nb.label:
-                return False
-            if self.ren_rev.get(nb.label, na.label) != na.label:
-                return False
-        elif na.label != nb.label:
-            return False
-        if self.a_left.get(u) != self.b_left.get(v) or self.a_right.get(u) != self.b_right.get(v):
-            return False
-        if len(self.a_out[u]) != len(self.b_out[v]) or len(self.a_in[u]) != len(self.b_in[v]):
-            return False
+    def _order(self) -> tuple[list[int], list[tuple[int, bool] | None]]:
+        """BFS order of `a` and, per position, (BFS parent, reached by an out-edge)."""
+        ga, ca, cell = self.ga, self.ca, self.cell_size
+        seen = [False] * len(ca)
+        order: list[int] = []
+        link: list[tuple[int, bool] | None] = []
+        for root in sorted(range(len(ca)), key=lambda i: (cell[ca[i]], i)):
+            if seen[root]:
+                continue
+            seen[root] = True
+            k = len(order)
+            order.append(root)
+            link.append(None)
+            while k < len(order):
+                p = order[k]
+                k += 1
+                for adj, forward in ((ga.out[p], True), (ga.inn[p], False)):
+                    for x in adj:
+                        if not seen[x]:
+                            seen[x] = True
+                            order.append(x)
+                            link.append((p, forward))
+        return order, link
+
+    def _candidates(self, u: int, link: tuple[int, bool] | None) -> list[int]:
+        c, cb, rev = self.ca[u], self.cb, self.rev
+        if link is None:
+            pool = self.cells_b[c]
+        else:
+            p, forward = link
+            pool = (self.gb.out if forward else self.gb.inn)[self.fwd[p]]
+        return [v for v in pool if cb[v] == c and rev[v] < 0]
+
+    def _feasible(self, u: int, v: int) -> bool:
+        ga, gb, fwd, rev = self.ga, self.gb, self.fwd, self.rev
+        if self.rename:
+            na, nb = self.a.nodes[ga.ids[u]], self.b.nodes[gb.ids[v]]
+            if na.kind is Kind.ABSTRACT:
+                if self.ren.get(na.label, nb.label) != nb.label:
+                    return False
+                if self.ren_rev.get(nb.label, na.label) != na.label:
+                    return False
         # edges to the already-mapped region must correspond in both directions
-        for x in self.a_out[u]:
-            y = self.fwd.get(x)
-            if y is not None and y not in self.b_out[v]:
-                return False
-        for x in self.a_in[u]:
-            y = self.fwd.get(x)
-            if y is not None and y not in self.b_in[v]:
-                return False
-        for y in self.b_out[v]:
-            x = self.rev.get(y)
-            if x is not None and x not in self.a_out[u]:
-                return False
-        for y in self.b_in[v]:
-            x = self.rev.get(y)
-            if x is not None and x not in self.a_in[u]:
-                return False
+        for adj, other in ((ga.out[u], gb.out_set[v]), (ga.inn[u], gb.inn_set[v])):
+            for x in adj:
+                y = fwd[x]
+                if y >= 0 and y not in other:
+                    return False
+        for adj, other in ((gb.out[v], ga.out_set[u]), (gb.inn[v], ga.inn_set[u])):
+            for y in adj:
+                x = rev[y]
+                if x >= 0 and x not in other:
+                    return False
         return True
 
     def run(self) -> dict[NodeId, NodeId] | None:
-        if self._extend():
-            return dict(self.fwd)
-        return None
-
-    def _extend(self) -> bool:
-        if len(self.fwd) == len(self.a.nodes):
-            return True
-        # most-constrained unmapped node first keeps the branching flat
-        best_u: NodeId | None = None
-        best_cands: list[NodeId] | None = None
-        for u in self.a.nodes:
-            if u in self.fwd:
+        order, link = self._order()
+        n = len(order)
+        fwd, rev = self.fwd, self.rev
+        renamed: list[str | None] = [None] * n  # the core label bound at each depth
+        pools = [self._candidates(order[0], link[0])] if n else []
+        tried = [0] * n
+        depth = 0
+        while depth < n:
+            u, pool = order[depth], pools[depth]
+            k = tried[depth]
+            while k < len(pool) and not self._feasible(u, pool[k]):
+                k += 1
+            if k == len(pool):
+                # exhausted: undo the choice one level up and try its next candidate
+                pools.pop()
+                tried[depth] = 0
+                depth -= 1
+                if depth < 0:
+                    return None
+                prev = order[depth]
+                rev[fwd[prev]] = -1
+                fwd[prev] = -1
+                if renamed[depth] is not None:
+                    del self.ren_rev[self.ren.pop(renamed[depth])]
+                    renamed[depth] = None
                 continue
-            cands = [v for v in self.b.nodes if v not in self.rev and self.feasible(u, v)]
-            if best_cands is None or len(cands) < len(best_cands):
-                best_u, best_cands = u, cands
-                if not cands:
-                    return False
-                if len(cands) == 1:
-                    break
-        assert best_u is not None and best_cands is not None
-        for v in best_cands:
+            tried[depth] = k + 1
             self.steps += 1
             if self.steps > self.budget:
                 raise SearchBudgetExceeded(f"gave up after {self.budget} candidate expansions")
-            label_a, label_b = self.a.label_of(best_u), self.b.label_of(v)
-            new_rename = self.renames(best_u) and label_a not in self.ren
-            self.fwd[best_u] = v
-            self.rev[v] = best_u
-            if new_rename:
-                self.ren[label_a] = label_b
-                self.ren_rev[label_b] = label_a
-            if self._extend():
-                return True
-            del self.fwd[best_u]
-            del self.rev[v]
-            if new_rename:
-                del self.ren[label_a]
-                del self.ren_rev[label_b]
-        return False
+            v = pool[k]
+            fwd[u], rev[v] = v, u
+            if self.rename:
+                na, nb = self.a.nodes[self.ga.ids[u]], self.b.nodes[self.gb.ids[v]]
+                if na.kind is Kind.ABSTRACT and na.label not in self.ren:
+                    self.ren[na.label] = nb.label
+                    self.ren_rev[nb.label] = na.label
+                    renamed[depth] = na.label
+            depth += 1
+            if depth < n:
+                pools.append(self._candidates(order[depth], link[depth]))
+        return {self.ga.ids[u]: self.gb.ids[v] for u, v in enumerate(fwd)}
 
 
 def isomorphic(
@@ -187,9 +283,17 @@ def isomorphic(
 
     The witness preserves kinds, labels (modulo the optional abstract-core
     renaming), edges in both directions, and interface membership with side
-    and per-label index.  Markings are not compared.  Raises
-    SearchBudgetExceeded when the backtracking search runs out of budget,
-    which means unknown rather than non-isomorphic.
+    and per-label index.  Markings are not compared.
+
+    Both modules are first coloured together by colour refinement, starting
+    from kind, label, interface positions and degrees; differing colour
+    histograms answer None without any search.  A backtracking search with
+    an explicit stack then maps `a` breadth-first, drawing each node's
+    candidates from its colour cell next to its BFS parent's image.
+    `budget` caps the number of accepted candidate expansions; running out
+    raises SearchBudgetExceeded, which means unknown rather than
+    non-isomorphic.  Every witness is replayed by `verify_witness` before it
+    is returned.
     """
     opts = options or IsoOptions()
 
@@ -201,20 +305,10 @@ def isomorphic(
 
     if len(a.nodes) != len(b.nodes) or len(a.edges) != len(b.edges):
         return None
-    if len(a.left) != len(b.left) or len(a.right) != len(b.right):
-        return None
-
-    def signature(m: Module, rename: bool):
-        sig = []
-        for node in m.nodes.values():
-            label = "*" if (rename and node.kind is Kind.ABSTRACT) else node.label
-            sig.append((node.kind.value, label))
-        return sorted(sig)
-
-    if signature(a, opts.rename_abstract_cores) != signature(b, opts.rename_abstract_cores):
-        return None
 
     search = _Search(a, b, opts, budget)
+    if not search.colour():
+        return None
     mapping = search.run()
     if mapping is None:
         return None

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import AbstractSet, Mapping
 
 from .core import Kind, Module, Node, NodeId, compose, empty_module
 from .errors import AbstractNodePresent, IsolatedElement, NotBipartite, UnknownTransition
@@ -61,7 +61,10 @@ def transition_atom(n: NetView, t: NodeId) -> Module:
     """
     if t not in n.transitions:
         raise UnknownTransition(f"{t} is not a transition of this net")
-    pre, post = n.pre(t), n.post(t)
+    return _atom(t, n.pre(t), n.post(t))
+
+
+def _atom(t: NodeId, pre: AbstractSet[NodeId], post: AbstractSet[NodeId]) -> Module:
     ring = tuple(sorted(pre | post))
     if not ring:
         raise IsolatedElement([t], f"transition {t} has no surrounding places")
@@ -92,12 +95,20 @@ def factorize(n: NetView) -> Factorization:
     net's monolithic module up to isomorphism, which is the right equivalence
     because merged copies carry union identities.
     """
+    # one pass over the flow; NetView.pre/post would rescan it per transition
+    pre: dict[NodeId, set[NodeId]] = {t: set() for t in n.transitions}
+    post: dict[NodeId, set[NodeId]] = {t: set() for t in n.transitions}
+    for s, d in n.flow:
+        if d in pre:
+            pre[d].add(s)
+        if s in post:
+            post[s].add(d)
     isolated = sorted(n.places - {p for e in n.flow for p in e})
-    isolated += sorted(t for t in n.transitions if not n.pre(t) and not n.post(t))
+    isolated += sorted(t for t in n.transitions if not pre[t] and not post[t])
     if isolated:
         raise IsolatedElement(isolated)
 
-    atoms = tuple(transition_atom(n, t) for t in sorted(n.transitions))
+    atoms = tuple(_atom(t, pre[t], post[t]) for t in sorted(n.transitions))
     recomposed = empty_module()
     for i, atom in enumerate(atoms, start=1):
         recomposed = compose(recomposed, atom.retagged(f"f{i}"))

@@ -152,6 +152,13 @@ def test_check_fixtures_all_ok(capsys):
     assert "phils_in_a_cycle: ok" in out
 
 
+def test_check_long_composition_chain(tmp_path, capsys):
+    f = tmp_path / "long.hkl"
+    f.write_text("alphabet { places: a; }\nlong := " + " . ".join(["E"] * 2000) + "\n", encoding="utf-8")
+    assert main(["check", str(f)]) == 0
+    assert "long: ok" in capsys.readouterr().out
+
+
 def test_check_reports_broken_binding(abstract_file, capsys):
     assert main(["check", abstract_file]) == 1
     out = capsys.readouterr().out

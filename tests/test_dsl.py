@@ -100,6 +100,27 @@ def test_mutual_recursion_rejected():
         parse(SNIPPET + "x := y\ny := x\n")
 
 
+def test_long_composition_chain_parses_and_evaluates():
+    env = parse(HEADER + "long := " + " . ".join(["E"] * 2000) + "\n")
+    m = evaluate(env, "long")
+    assert m.is_empty() and m.name == "long"
+
+
+def test_long_reference_chain_parses_and_evaluates():
+    defs = "".join(f"d{i} := d{i - 1}\n" for i in range(1, 2000))
+    env = parse(SNIPPET + "d0 := m\n" + defs)
+    assert len(evaluate(env, "d1999").nodes) == 2
+    with pytest.raises(RecursiveDefinition):
+        parse(SNIPPET + "d0 := d1999 . m\n" + defs)
+
+
+def test_instances_numbered_left_to_right():
+    for expr in ("m . m . m", "m . (m . m)", "(m . m^c) . abstr(m)"):
+        m = evaluate(parse(SNIPPET + f"x := {expr}\n"), "x")
+        tags = [atom.instance for nid in m.left for atom in sorted(nid.atoms)]
+        assert tags == ["i1", "i2", "i3"], expr
+
+
 def test_unbound_name_at_evaluation():
     env = parse(SNIPPET + "x := ghost . m\n")
     with pytest.raises(UnboundName):

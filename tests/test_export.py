@@ -56,6 +56,30 @@ def test_loads_rejects_malformed_input(phil_env, mangle):
         loads(mangle(data))
 
 
+def _fork_dump_with(phil_env, change):
+    data = to_dict(evaluate(phil_env, "fork"))
+    change(data, next(n for n in data["nodes"] if n["kind"] == "place"))
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize("tokens", [True, 1.0, -1, "1", None])
+def test_loads_rejects_token_count_not_a_natural(phil_env, tokens):
+    with pytest.raises(ParseError, match="tokens"):
+        loads(_fork_dump_with(phil_env, lambda data, place: place.update(tokens=tokens)))
+
+
+@pytest.mark.parametrize("label", [7, None, ["available"]])
+def test_loads_rejects_non_string_label(phil_env, label):
+    with pytest.raises(ParseError, match="label"):
+        loads(_fork_dump_with(phil_env, lambda data, place: place.update(label=label)))
+
+
+@pytest.mark.parametrize("name", [7, True, ["fork"]])
+def test_loads_rejects_non_string_name(phil_env, name):
+    with pytest.raises(ParseError, match="name"):
+        loads(_fork_dump_with(phil_env, lambda data, place: data.update(name=name)))
+
+
 def test_loads_rejects_lying_interface_index(phil_env):
     data = to_dict(evaluate(phil_env, "think"))
     data["left"][0]["index"] = 7

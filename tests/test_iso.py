@@ -1,15 +1,32 @@
+import itertools
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import petrimod
 from petrimod import (
     IsoOptions,
+    IsoWitness,
+    Kind,
+    Module,
     abstract_of,
+    closure,
+    compose,
     evaluate,
+    factorize,
+    fixture_path,
     instantiate,
     isomorphic,
     structural_equal,
+    validate_net,
     verify_witness,
 )
 from petrimod.errors import SearchBudgetExceeded
+from petrimod.generate import random_module
 
 from conftest import module, node
 
@@ -136,3 +153,119 @@ def test_cycles_isomorphic(phil_env):
     w = isomorphic(forks, phils)
     assert w is not None
     assert verify_witness(forks, phils, w)
+
+
+def brute_force_isomorphic(a, b, opts):
+    """Reference verdict: try every bijection that keeps (kind, label) classes,
+    with abstract labels pooled in rename mode, and replay each one."""
+
+    def classes(m):
+        out = {}
+        for nid, node in m.nodes.items():
+            label = "*" if opts.rename_abstract_cores and node.kind is Kind.ABSTRACT else node.label
+            out.setdefault((node.kind.value, label), []).append(nid)
+        return out
+
+    ca, cb = classes(a), classes(b)
+    if {k: len(v) for k, v in ca.items()} != {k: len(v) for k, v in cb.items()}:
+        return False
+    keys = sorted(ca)
+    for images in itertools.product(*(itertools.permutations(cb[k]) for k in keys)):
+        mapping = tuple((u, v) for k, image in zip(keys, images) for u, v in zip(ca[k], image))
+        if verify_witness(a, b, IsoWitness(mapping), opts):
+            return True
+    return False
+
+
+def shuffled(m, rng):
+    """The same module with its nodes inserted in another order."""
+    nodes = list(m.nodes.values())
+    rng.shuffle(nodes)
+    return Module(nodes, m.edges, m.left, m.right, m.marking, m.name)
+
+
+def moved_edge(m, rng):
+    """A copy with one edge re-pointed to a random target: usually a near miss."""
+    if not m.edges:
+        return m
+    edges = sorted(m.edges)
+    src, _ = edges.pop(rng.randrange(len(edges)))
+    edges.append((src, rng.choice(sorted(m.nodes))))
+    return Module(m.nodes, edges, m.left, m.right, m.marking, m.name)
+
+
+def small_pairs(rng, trial):
+    a = random_module(rng, f"a{trial}", max_nodes=4, name="A")
+    b = random_module(rng, f"b{trial}", max_nodes=4, name="B")
+    copy = shuffled(a.retagged("r"), rng)
+    yield a, b
+    yield a, copy
+    yield a, moved_edge(copy, rng)
+    yield compose(a, b), shuffled(compose(a.retagged("x"), b.retagged("y")), rng)
+    yield compose(a, b), compose(b.retagged("x"), a.retagged("y"))
+    yield closure(a), closure(copy)
+    yield closure(compose(a, b)), closure(compose(b.retagged("x"), a.retagged("y")))
+    yield abstract_of(a), abstract_of(b)
+    yield abstract_of(compose(a, b).with_name("AB")), abstract_of(
+        compose(abstract_of(a), abstract_of(b)).with_name("AB")
+    )
+
+
+@pytest.mark.parametrize("opts", [IsoOptions(), IsoOptions(rename_abstract_cores=True)], ids=["plain", "rename"])
+def test_search_agrees_with_brute_force(opts):
+    rng = random.Random(2202)
+    verdicts = []
+    for trial in range(150):
+        for a, b in small_pairs(rng, trial):
+            if len(a.nodes) > 7:
+                continue
+            witness = isomorphic(a, b, opts)
+            expected = brute_force_isomorphic(a, b, opts)
+            assert (witness is not None) == expected, (a, b)
+            if witness is not None:
+                assert verify_witness(a, b, witness, opts)
+            verdicts.append(expected)
+    assert verdicts.count(True) >= 100 and verdicts.count(False) >= 100
+
+
+def _ring(env, seat_parts, n):
+    """Close a row of n seats; each seat is a left-associated fold of snippet
+    instances.  The row is folded pairwise, which associativity allows."""
+    seats = []
+    for i in range(n):
+        parts = [instantiate(env.snippets[name], env.alphabet, f"s{i}.{k}") for k, name in enumerate(seat_parts)]
+        seat = parts[0]
+        for part in parts[1:]:
+            seat = compose(seat, part)
+        seats.append(seat)
+    while len(seats) > 1:
+        seats = [compose(*seats[i:i + 2]) if i + 1 < len(seats) else seats[i] for i in range(0, len(seats), 2)]
+    return closure(seats[0])
+
+
+def test_thousand_node_ring_without_recursion(phil_env):
+    n = 200
+    phils = _ring(phil_env, ("right_use", "think", "eat", "left_use"), n)
+    forks = _ring(phil_env, ("think", "left_use", "right_use", "eat"), n)
+    assert len(phils.nodes) == len(forks.nodes) == 5 * n
+    # more nodes than the interpreter allows nested frames
+    assert len(phils.nodes) >= sys.getrecursionlimit()
+    witness = isomorphic(phils, forks)
+    assert witness is not None and verify_witness(phils, forks, witness)
+    assert factorize(validate_net(phils)).matches
+
+
+def test_cli_witness_independent_of_hash_seed():
+    src = str(Path(petrimod.__file__).resolve().parents[1])
+    outputs = []
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-m", "petrimod.cli", "iso", str(fixture_path("philosophers.hkl")),
+             "phils_in_a_cycle", "forks_in_a_cycle"],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].startswith("ISOMORPHIC\n")

@@ -15,7 +15,7 @@ import re
 import sys
 from pathlib import Path
 
-from .core import Kind, Module, abstract_of, closure, compose, empty_module, verify_well_formed
+from .core import Module, verify_well_formed
 from .dsl import Environment, evaluate, parse
 from .errors import (
     AbstractNodePresent,
@@ -27,8 +27,8 @@ from .errors import (
     SearchBudgetExceeded,
 )
 from .export import dumps, to_dot, to_pnml
-from .generate import random_module, random_net
-from .iso import IsoOptions, isomorphic, structural_equal
+from .iso import IsoOptions, isomorphic
+from .laws import LAWS
 from .nets import NetView, factorize, validate_net
 from .sim import check_invariant, reachability
 
@@ -224,86 +224,19 @@ def _cmd_check(args) -> int:
 
 # -- selftest --------------------------------------------------------------------
 
-def _law_associativity(rng, trials):
-    for _ in range(trials):
-        a = random_module(rng, "a")
-        b = random_module(rng, "b")
-        c = random_module(rng, "c")
-        if not structural_equal(compose(compose(a, b), c), compose(a, compose(b, c))):
-            return False
-    return True
-
-
-def _law_identity(rng, trials):
-    e = empty_module()
-    for _ in range(trials):
-        a = random_module(rng, "a")
-        if not structural_equal(compose(e, a), a) or not structural_equal(compose(a, e), a):
-            return False
-    return True
-
-
-def _law_idempotence(rng, trials):
-    for _ in range(trials):
-        c = closure(random_module(rng, "a"))
-        if not structural_equal(closure(c), c):
-            return False
-    return True
-
-
-def _law_label_split(rng, trials):
-    # on modules whose two interfaces share no node, a label never survives
-    # on both sides of the closure
-    for _ in range(trials):
-        c = closure(random_module(rng, "a", shared_interfaces=False))
-        if set(c.left.labels(c.label_of)) & set(c.right.labels(c.label_of)):
-            return False
-    return True
-
-
-def _law_abstraction(rng, trials):
-    rename = IsoOptions(rename_abstract_cores=True)
-    for _ in range(trials):
-        a = random_module(rng, "a", name="A")
-        b = random_module(rng, "b", name="B")
-        once = abstract_of(a)
-        if isomorphic(abstract_of(once), once, rename) is None:
-            return False
-        lhs = abstract_of(compose(a, b).with_name("AB"))
-        rhs = abstract_of(compose(abstract_of(a), abstract_of(b)).with_name("AB"))
-        if isomorphic(lhs, rhs, rename) is None:
-            return False
-    return True
-
-
-def _law_factorization(rng, trials):
-    for _ in range(trials):
-        net = random_net(rng, "n", max_transitions=8, max_places=10)
-        if not factorize(net).matches:
-            return False
-    return True
-
-
 def _cmd_selftest(args) -> int:
     if args.seed is not None:
         seed = args.seed
     else:
         seed = int(os.environ.get("HERAKLIT_SEED", DEFAULT_SEED))
-    trials = args.trials
-    laws = [
-        ("associativity", _law_associativity, trials),
-        ("identity", _law_identity, trials),
-        ("closure idempotence", _law_idempotence, trials),
-        ("closure label split", _law_label_split, trials),
-        ("abstraction laws", _law_abstraction, max(1, trials // 4)),
-        ("factorization", _law_factorization, max(1, trials // 10)),
-    ]
     print(f"seed: {seed}")
     failed = 0
-    for name, law, n in laws:
-        ok = law(random.Random(f"{seed}:{name}"), n)
+    for name, law in LAWS.items():
+        n = max(1, args.trials // law.cost)
+        rng = random.Random(f"{seed}:{name}")
+        ok = all(law.holds(rng) for _ in range(n))
         print(f"{name:<22} {'ok' if ok else 'FAIL'}  ({n} trials)")
-        failed += 0 if ok else 1
+        failed += not ok
     return 1 if failed else 0
 
 

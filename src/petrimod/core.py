@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
@@ -149,8 +149,8 @@ class Node:
     kind: Kind
 
     def __post_init__(self):
-        if not self.label:
-            raise MalformedModule("node label must be non-empty")
+        if not isinstance(self.label, str) or not self.label:
+            raise MalformedModule(f"node {self.id}: label must be a non-empty string, got {self.label!r}")
 
 
 class InterfaceSlot(NamedTuple):
@@ -263,50 +263,21 @@ class Module:
         name: str | None = None,
     ):
         if isinstance(nodes, Mapping):
-            nodes = nodes.values()
-        node_map: dict[NodeId, Node] = {}
-        for node in nodes:
-            if node.id in node_map:
-                raise MalformedModule(f"node {node.id} defined twice")
-            node_map[node.id] = node
-
-        atoms: set[AtomicNodeId] = set()
-        total = 0
-        for nid in node_map:
-            atoms |= nid.atoms
-            total += len(nid.atoms)
-        if len(atoms) != total:
-            raise MalformedModule("distinct nodes share atoms")
-
-        kind_by_label: dict[str, Kind] = {}
-        for node in node_map.values():
-            prev = kind_by_label.setdefault(node.label, node.kind)
-            if prev is not node.kind:
-                raise MalformedModule(f"label {node.label!r} used with kinds {prev.value} and {node.kind.value}")
-
+            node_map = dict(nodes)
+        else:
+            node_map = {}
+            for node in nodes:
+                if node.id in node_map:
+                    raise MalformedModule(f"node {node.id} defined twice")
+                node_map[node.id] = node
         edge_set = frozenset((src, dst) for src, dst in edges)
-        for src, dst in edge_set:
-            if src not in node_map or dst not in node_map:
-                raise MalformedModule(f"edge ({src}, {dst}) references unknown node")
-
         left_if = left if isinstance(left, Interface) else Interface(tuple(left))
         right_if = right if isinstance(right, Interface) else Interface(tuple(right))
-        for side in (left_if, right_if):
-            for nid in side:
-                if nid not in node_map:
-                    raise MalformedModule(f"interface references unknown node {nid}")
-
-        mark: dict[NodeId, int] = {}
-        for nid, count in (marking or {}).items():
-            if count == 0:
-                continue
-            if nid not in node_map:
-                raise MalformedModule(f"marking on unknown node {nid}")
-            if node_map[nid].kind is not Kind.PLACE:
-                raise MalformedModule(f"marking on non-place node {nid}")
-            if not isinstance(count, int) or count < 0:
-                raise MalformedModule(f"marking of {nid} must be a non-negative int")
-            mark[nid] = count
+        # an int zero is no token; anything else is kept for the checker to judge
+        mark = {nid: count for nid, count in (marking or {}).items() if count or type(count) is not int}
+        atoms = _atom_set(node_map)
+        for problem in _problems(node_map, edge_set, left_if, right_if, mark, name, atoms):
+            raise MalformedModule(problem)
 
         object.__setattr__(self, "nodes", node_map)
         object.__setattr__(self, "edges", edge_set)
@@ -314,7 +285,7 @@ class Module:
         object.__setattr__(self, "right", right_if)
         object.__setattr__(self, "marking", mark)
         object.__setattr__(self, "name", name)
-        object.__setattr__(self, "_atoms", frozenset(atoms))
+        object.__setattr__(self, "_atoms", atoms)
 
     def __setattr__(self, *_):
         raise AttributeError("Module is immutable")
@@ -423,7 +394,7 @@ def compose(a: Module, b: Module) -> Module:
     for mod in (a, b):
         for node in mod.nodes.values():
             nid = mp(node.id)
-            nodes[nid] = Node(nid, node.label, node.kind)
+            nodes[nid] = node if nid is node.id else Node(nid, node.label, node.kind)
 
     edges = {(mp(s), mp(d)) for s, d in a.edges | b.edges}
     left = tuple(mp(n) for n in a.left) + tuple(n for n in b.left if n not in merged)
@@ -435,7 +406,7 @@ def compose(a: Module, b: Module) -> Module:
             key = mp(nid)
             marking[key] = marking.get(key, 0) + count
 
-    return Module(nodes.values(), edges, left, right, marking)
+    return Module(nodes, edges, left, right, marking)
 
 
 def closure(a: Module) -> Module:
@@ -490,7 +461,7 @@ def closure(a: Module) -> Module:
     nodes: dict[NodeId, Node] = {}
     for node in a.nodes.values():
         nid = mp(node.id)
-        nodes[nid] = Node(nid, node.label, node.kind)
+        nodes[nid] = node if nid is node.id else Node(nid, node.label, node.kind)
     edges = {(mp(s), mp(d)) for s, d in a.edges}
     left = tuple(mp(n) for n in a.left if n not in dropped_left)
     right = tuple(mp(n) for n in a.right if n not in dropped_right)
@@ -499,7 +470,7 @@ def closure(a: Module) -> Module:
         key = mp(nid)
         marking[key] = marking.get(key, 0) + count
 
-    return Module(nodes.values(), edges, left, right, marking)
+    return Module(nodes, edges, left, right, marking)
 
 
 def abstract_of(a: Module) -> Module:
@@ -533,58 +504,70 @@ def seam(parts: Iterable[Module]) -> Module:
     return acc
 
 
-def verify_well_formed(a: Module) -> list[str]:
-    """Re-derive every structural invariant from the public surface.
-
-    Returns a list of human-readable violations, empty when the module is
-    well formed.  Construction already enforces these; this recheck exists so
-    outputs of every operation can be swept independently.
-    """
-    problems: list[str] = []
-
+def _atom_set(nodes: Iterable[NodeId]) -> frozenset[AtomicNodeId]:
     atoms: set[AtomicNodeId] = set()
-    total = 0
-    for nid, node in a.nodes.items():
-        if node.id != nid:
-            problems.append(f"node map key {nid} != node id {node.id}")
+    for nid in nodes:
         atoms |= nid.atoms
-        total += len(nid.atoms)
-        if not node.label:
-            problems.append(f"{nid} has an empty label")
-    if total != len(atoms):
-        problems.append("distinct nodes share atoms")
+    return frozenset(atoms)
 
+
+def _problems(
+    nodes: Mapping[NodeId, Node],
+    edges: Iterable[tuple[NodeId, NodeId]],
+    left: Interface,
+    right: Interface,
+    marking: Mapping[NodeId, int],
+    name: object,
+    atoms: frozenset[AtomicNodeId],
+) -> Iterator[str]:
+    """Every structural violation of a module's parts, in a fixed order;
+    `atoms` is `_atom_set(nodes)`.
+
+    The one checker behind both `Module(...)` and `verify_well_formed`.
+    Invariants that `Node`, `NodeId` and `Interface` enforce when they are
+    built (non-empty string labels, non-empty atom sets, no repeated slot)
+    are not checked again, and per-label indices need no check because
+    `Interface.indexed` derives them by counting.
+    """
     kind_by_label: dict[str, Kind] = {}
-    for node in a.nodes.values():
+    for nid, node in nodes.items():
+        # identity first: the dataclass __eq__ compares whole atom sets
+        if node.id is not nid and node.id != nid:
+            yield f"node map key {nid} != node id {node.id}"
         prev = kind_by_label.setdefault(node.label, node.kind)
         if prev is not node.kind:
-            problems.append(f"label {node.label!r} carries two kinds")
+            yield f"label {node.label!r} used with kinds {prev.value} and {node.kind.value}"
+    if sum(len(nid.atoms) for nid in nodes) != len(atoms):
+        yield "distinct nodes share atoms"
 
-    for src, dst in a.edges:
-        if src not in a.nodes or dst not in a.nodes:
-            problems.append(f"dangling edge ({src}, {dst})")
+    for src, dst in edges:
+        if src not in nodes or dst not in nodes:
+            yield f"edge ({src}, {dst}) references unknown node"
 
-    for side_name, side in (("left", a.left), ("right", a.right)):
-        seen: set[NodeId] = set()
+    for side_name, side in (("left", left), ("right", right)):
         for nid in side:
-            if nid in seen:
-                problems.append(f"{side_name} interface repeats {nid}")
-            seen.add(nid)
-            if nid not in a.nodes:
-                problems.append(f"{side_name} interface references unknown node {nid}")
-        # per-label indices must come out exactly 1..n in slot order
-        counters: dict[str, int] = {}
-        for slot in side.indexed(a.label_of):
-            counters[slot.label] = counters.get(slot.label, 0) + 1
-            if slot.index != counters[slot.label]:
-                problems.append(f"{side_name} interface index gap at {slot.node}")
+            if nid not in nodes:
+                yield f"{side_name} interface references unknown node {nid}"
 
-    for nid, count in a.marking.items():
-        if nid not in a.nodes:
-            problems.append(f"marking on unknown node {nid}")
-        elif a.nodes[nid].kind is not Kind.PLACE:
-            problems.append(f"marking on non-place {nid}")
-        if count < 0:
-            problems.append(f"negative marking on {nid}")
+    for nid, count in marking.items():
+        if nid not in nodes:
+            yield f"marking on unknown node {nid}"
+        elif nodes[nid].kind is not Kind.PLACE:
+            yield f"marking on non-place node {nid}"
+        if type(count) is not int or count < 0:  # bool is an int subclass but not a count
+            yield f"{nid}: tokens must be a non-negative integer, got {count!r}"
 
-    return problems
+    if name is not None and not isinstance(name, str):
+        yield f"name must be a string or None, got {name!r}"
+
+
+def verify_well_formed(a: Module) -> list[str]:
+    """Re-run the construction checker over a module's public surface.
+
+    Returns every violation as a human-readable line, empty when the module
+    is well formed.  `Module(...)` raises on the first of the same problems;
+    this sweep exists so outputs of every operation, and modules whose
+    `nodes` or `marking` dict was changed after construction, can be
+    checked independently.
+    """
+    return list(_problems(a.nodes, a.edges, a.left, a.right, a.marking, a.name, _atom_set(a.nodes)))

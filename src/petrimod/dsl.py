@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -261,7 +262,7 @@ class _Parser:
             self.skip_separator()
         self.expect("}")
         flat = [label for g in groups.values() for label in g]
-        dupes = {l for l in flat if flat.count(l) > 1}
+        dupes = {label for label, n in Counter(flat).items() if n > 1}
         if dupes:
             raise DuplicateName(f"label(s) declared twice: {sorted(dupes)}", self.peek().line)
         return Alphabet(
@@ -327,37 +328,46 @@ class _Parser:
     # ---- expressions ----
 
     def parse_expr(self) -> ModuleExpr:
-        left = self.parse_term()
-        while self.peek().kind == ".":
-            self.next()
-            left = Compose(left, self.parse_term())
-        return left
+        """expr := term ('.' term)*; term := atom '^c'*;
+        atom := '(' expr ')' | 'abstr' '(' expr ')' | 'E' | name.
 
-    def parse_term(self) -> ModuleExpr:
-        node = self.parse_atom()
-        while self.peek().kind == "^c":
-            self.next()
-            node = Closure(node)
-        return node
-
-    def parse_atom(self) -> ModuleExpr:
-        tok = self.next()
-        if tok.kind == "(":
-            inner = self.parse_expr()
-            self.expect(")")
-            return inner
-        if tok.kind == "ident" and tok.text == "abstr":
-            self.expect("(")
-            inner = self.parse_expr()
-            self.expect(")")
-            return Abstr(inner)
-        if tok.kind == "ident" and tok.text == "E":
-            return Empty()
-        if tok.kind == "ident":
-            if tok.text in RESERVED:
-                raise DslSyntaxError(f"{tok.text!r} is a reserved word", tok.line)
-            return Ref(tok.text, tok.line)
-        raise DslSyntaxError(f"expected an expression, got {tok.text or 'end of file'!r}", tok.line)
+        Iterative, so nesting depth is not bounded by the recursion limit.
+        `groups` has one entry per open '(' or 'abstr(': whether it is an
+        abstr, and the composition chain to its left.
+        """
+        groups: list[tuple[bool, ModuleExpr | None]] = []
+        left: ModuleExpr | None = None
+        while True:
+            tok = self.next()
+            is_abstr = tok.kind == "ident" and tok.text == "abstr"
+            if is_abstr:
+                self.expect("(")
+            if is_abstr or tok.kind == "(":
+                groups.append((is_abstr, left))
+                left = None
+                continue
+            if tok.kind == "ident" and tok.text == "E":
+                operand: ModuleExpr = Empty()
+            elif tok.kind == "ident":
+                if tok.text in RESERVED:
+                    raise DslSyntaxError(f"{tok.text!r} is a reserved word", tok.line)
+                operand = Ref(tok.text, tok.line)
+            else:
+                raise DslSyntaxError(f"expected an expression, got {tok.text or 'end of file'!r}", tok.line)
+            while True:
+                while self.peek().kind == "^c":
+                    self.next()
+                    operand = Closure(operand)
+                left = operand if left is None else Compose(left, operand)
+                if self.peek().kind == ".":
+                    self.next()
+                    break
+                if not groups:
+                    return left
+                self.expect(")")
+                is_abstr, outer = groups.pop()
+                operand = Abstr(left) if is_abstr else left
+                left = outer
 
 
 def _validate(env: Environment, alphabet_line: int):

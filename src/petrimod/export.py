@@ -88,10 +88,6 @@ def loads(text: str) -> Module:
     if data.get("format") != DUMP_FORMAT:
         raise ParseError(f"expected format {DUMP_FORMAT!r}, got {data.get('format')!r}")
 
-    name = data.get("name")
-    if name is not None and not isinstance(name, str):
-        raise ParseError(f"name must be a string or null, got {name!r}")
-
     kinds = {k.value: k for k in Kind}
     try:
         nodes = []
@@ -100,18 +96,12 @@ def loads(text: str) -> Module:
             nid = _node_id(entry["id"], "nodes")
             if entry["kind"] not in kinds:
                 raise ParseError(f"unknown kind {entry['kind']!r}")
-            if not isinstance(entry["label"], str):
-                raise ParseError(f"{nid}: label must be a string, got {entry['label']!r}")
             nodes.append(Node(nid, entry["label"], kinds[entry["kind"]]))
-            tokens = entry.get("tokens", 0)
-            if type(tokens) is not int or tokens < 0:  # bool is an int subclass but not a count
-                raise ParseError(f"{nid}: tokens must be a non-negative integer, got {tokens!r}")
-            if tokens:
-                marking[nid] = tokens
+            marking[nid] = entry.get("tokens", 0)
         edges = [(_node_id(s, "edges"), _node_id(d, "edges")) for s, d in data["edges"]]
         left = [_node_id(e["id"], "left") for e in data["left"]]
         right = [_node_id(e["id"], "right") for e in data["right"]]
-        module = Module(nodes, edges, left, right, marking, name)
+        module = Module(nodes, edges, left, right, marking, data.get("name"))
     except ParseError:
         raise
     except (KeyError, TypeError, ValueError, AttributeError) as e:

@@ -9,7 +9,7 @@ from .core import Kind, Module, Node, NodeId, compose, empty_module
 from .errors import AbstractNodePresent, IsolatedElement, NotBipartite, UnknownTransition
 from .iso import IsoOptions, IsoWitness, isomorphic
 
-__all__ = ["NetView", "Factorization", "validate_net", "net_to_module", "transition_atom", "factorize"]
+__all__ = ["NetView", "Factorization", "adjacency", "validate_net", "net_to_module", "transition_atom", "factorize"]
 
 
 @dataclass(frozen=True)
@@ -26,6 +26,22 @@ class NetView:
 
     def post(self, t: NodeId) -> frozenset[NodeId]:
         return frozenset(p for x, p in self.flow if x == t)
+
+
+def adjacency(n: NetView) -> tuple[dict[NodeId, set[NodeId]], dict[NodeId, set[NodeId]]]:
+    """Pre- and post-places of every transition, in one pass over the flow.
+
+    For all transitions at once; `NetView.pre`/`post` rescan the whole flow
+    for each transition they are asked about.
+    """
+    pre: dict[NodeId, set[NodeId]] = {t: set() for t in n.transitions}
+    post: dict[NodeId, set[NodeId]] = {t: set() for t in n.transitions}
+    for s, d in n.flow:
+        if d in pre:
+            pre[d].add(s)
+        if s in post:
+            post[s].add(d)
+    return pre, post
 
 
 def validate_net(a: Module) -> NetView:
@@ -95,14 +111,7 @@ def factorize(n: NetView) -> Factorization:
     net's monolithic module up to isomorphism, which is the right equivalence
     because merged copies carry union identities.
     """
-    # one pass over the flow; NetView.pre/post would rescan it per transition
-    pre: dict[NodeId, set[NodeId]] = {t: set() for t in n.transitions}
-    post: dict[NodeId, set[NodeId]] = {t: set() for t in n.transitions}
-    for s, d in n.flow:
-        if d in pre:
-            pre[d].add(s)
-        if s in post:
-            post[s].add(d)
+    pre, post = adjacency(n)
     isolated = sorted(n.places - {p for e in n.flow for p in e})
     isolated += sorted(t for t in n.transitions if not pre[t] and not post[t])
     if isolated:

@@ -13,7 +13,7 @@ from typing import Callable, Mapping, NamedTuple
 
 from .core import NodeId
 from .errors import NotEnabled, UnknownTransition
-from .nets import NetView
+from .nets import NetView, adjacency
 
 __all__ = ["Marking", "ReachGraph", "Counterexample", "enabled", "fire", "reachability", "check_invariant"]
 
@@ -32,7 +32,8 @@ def _as_vector(n: NetView, places: tuple[NodeId, ...], m: Mapping[NodeId, int]) 
 
 def enabled(n: NetView, m: Mapping[NodeId, int]) -> list[NodeId]:
     """Transitions whose every pre-place carries a token, sorted."""
-    return [t for t in sorted(n.transitions) if all(m.get(p, 0) >= 1 for p in n.pre(t))]
+    pre, _ = adjacency(n)
+    return [t for t in sorted(n.transitions) if all(m.get(p, 0) >= 1 for p in pre[t])]
 
 
 def fire(n: NetView, m: Mapping[NodeId, int], t: NodeId) -> Marking:
@@ -101,8 +102,9 @@ def reachability(
     places = tuple(sorted(n.places))
     index = {p: i for i, p in enumerate(places)}
     transitions = sorted(n.transitions)
-    pre = {t: sorted(index[p] for p in n.pre(t)) for t in transitions}
-    post = {t: sorted(index[p] for p in n.post(t)) for t in transitions}
+    pre_places, post_places = adjacency(n)
+    pre = {t: sorted(index[p] for p in pre_places[t]) for t in transitions}
+    post = {t: sorted(index[p] for p in post_places[t]) for t in transitions}
 
     start = _as_vector(n, places, n.marking if initial is None else initial)
     vectors: list[tuple[int, ...]] = [start]

@@ -1,6 +1,6 @@
 import pytest
 
-from petrimod import Alphabet, Kind, Module, Node, NodeId, fixture_path, parse
+from petrimod import Alphabet, Module, Node, NodeId, fixture_path, parse
 
 # Greek-ish label universe for hand-built modules; alpha/beta/gamma/delta are
 # deliberately outside the place/transition partition.

@@ -9,18 +9,14 @@ import time
 from collections import deque
 
 from petrimod import (
-    IsoOptions,
     abstract_of,
     closure,
     compose,
     dumps,
-    empty_module,
     evaluate,
-    factorize,
     fixture_path,
     isomorphic,
     loads,
-    net_to_module,
     parse,
     reachability,
     structural_equal,
@@ -29,7 +25,8 @@ from petrimod import (
     validate_pnml,
     verify_well_formed,
 )
-from petrimod.generate import random_module, random_net
+from petrimod.generate import random_module
+from petrimod.laws import LAWS
 
 SEED = 1105
 
@@ -44,14 +41,15 @@ def _rng(tag):
     return random.Random(f"{SEED}:{tag}")
 
 
+def _failures(law, tag, trials):
+    rng = _rng(tag)
+    holds = LAWS[law].holds
+    return sum(not holds(rng) for _ in range(trials))
+
+
 def test_criterion_01_associativity():
-    rng = _rng("assoc")
     start = time.perf_counter()
-    bad = 0
-    for _ in range(1000):
-        a, b, c = (random_module(rng, t) for t in ("a", "b", "c"))
-        if not structural_equal(compose(compose(a, b), c), compose(a, compose(b, c))):
-            bad += 1
+    bad = _failures("associativity", "assoc", 1000)
     elapsed = time.perf_counter() - start
     _report(
         1,
@@ -62,29 +60,17 @@ def test_criterion_01_associativity():
 
 
 def test_criterion_02_identity():
-    rng = _rng("ident")
-    e = empty_module()
-    bad = sum(
-        1
-        for _ in range(1000)
-        if not (
-            structural_equal(compose(e, (a := random_module(rng, "a"))), a)
-            and structural_equal(compose(a, e), a)
-        )
-    )
+    bad = _failures("identity", "ident", 1000)
     _report(2, "empty module is a two-sided identity for 1000 random modules", bad == 0, f"{bad} failures")
 
 
 def test_criterion_03_closure_idempotent_and_label_split():
     rng = _rng("clos")
+    idempotence, label_split = LAWS["closure idempotence"].holds, LAWS["closure label split"].holds
     bad_idem = bad_split = 0
     for _ in range(1000):
-        c = closure(random_module(rng, "a"))
-        if not structural_equal(closure(c), c):
-            bad_idem += 1
-        d = closure(random_module(rng, "b", shared_interfaces=False))
-        if set(d.left.labels(d.label_of)) & set(d.right.labels(d.label_of)):
-            bad_split += 1
+        bad_idem += not idempotence(rng)
+        bad_split += not label_split(rng)
     _report(
         3,
         "closure idempotent, no label on both sides, 1000 random modules",
@@ -94,30 +80,13 @@ def test_criterion_03_closure_idempotent_and_label_split():
 
 
 def test_criterion_04_abstraction_laws():
-    rng = _rng("abst")
-    rename = IsoOptions(rename_abstract_cores=True)
-    bad = 0
-    for _ in range(300):
-        a = random_module(rng, "a", name="A")
-        b = random_module(rng, "b", name="B")
-        once = abstract_of(a)
-        ok = isomorphic(abstract_of(once), once, rename) is not None
-        lhs = abstract_of(compose(a, b).with_name("AB"))
-        rhs = abstract_of(compose(abstract_of(a), abstract_of(b)).with_name("AB"))
-        ok = ok and isomorphic(lhs, rhs, rename) is not None
-        bad += 0 if ok else 1
+    bad = _failures("abstraction laws", "abst", 300)
     _report(4, "abstraction laws on 300 random named pairs", bad == 0, f"{bad} failures")
 
 
 def test_criterion_05_factorization_completeness():
-    rng = _rng("fact")
     start = time.perf_counter()
-    bad = 0
-    for _ in range(300):
-        net = random_net(rng, "n", max_transitions=15, max_places=20)
-        result = factorize(net)
-        if not result.matches or isomorphic(result.recomposed, net_to_module(net)) is None:
-            bad += 1
+    bad = _failures("factorization", "fact", 300)
     elapsed = time.perf_counter() - start
     _report(
         5,

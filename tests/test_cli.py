@@ -159,6 +159,18 @@ def test_check_long_composition_chain(tmp_path, capsys):
     assert "long: ok" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("depth, opener", [(5000, "("), (1000, "abstr(")])
+def test_check_deep_nesting(tmp_path, capsys, depth, opener):
+    f = tmp_path / "deep.hkl"
+    source = ABSTRACT_SRC.split("lump")[0]  # the alphabet and module m
+    f.write_text(source + f"deep := {opener * depth}m{')' * depth}\n", encoding="utf-8")
+    assert main(["check", str(f)]) == 0
+    assert "deep: ok" in capsys.readouterr().out
+    f.write_text(source + f"deep := {opener * depth}m{')' * (depth - 1)}\n", encoding="utf-8")
+    assert main(["check", str(f)]) == 2
+    assert "expected ')'" in capsys.readouterr().err
+
+
 def test_check_reports_broken_binding(abstract_file, capsys):
     assert main(["check", abstract_file]) == 1
     out = capsys.readouterr().out

@@ -1,6 +1,6 @@
 import random
 
-from petrimod import NodeId, closure, empty_module, structural_equal, verify_well_formed
+from petrimod import closure, empty_module, structural_equal, verify_well_formed
 from petrimod.generate import random_module
 
 from conftest import module, node

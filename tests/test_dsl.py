@@ -106,6 +106,13 @@ def test_long_composition_chain_parses_and_evaluates():
     assert m.is_empty() and m.name == "long"
 
 
+@pytest.mark.parametrize("depth, opener", [(5000, "("), (1000, "abstr(")])
+def test_deep_nesting_parses_and_evaluates(depth, opener):
+    env = parse(SNIPPET + f"d := {opener * depth}m{')' * depth}\n")
+    m = evaluate(env, "d")
+    assert m.name == "d" and len(m.nodes) == (2 if opener == "(" else 3)
+
+
 def test_long_reference_chain_parses_and_evaluates():
     defs = "".join(f"d{i} := d{i - 1}\n" for i in range(1, 2000))
     env = parse(SNIPPET + "d0 := m\n" + defs)

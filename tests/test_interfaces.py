@@ -1,6 +1,6 @@
 import pytest
 
-from petrimod import Interface, NodeId, harmonic_pairs
+from petrimod import Interface, harmonic_pairs
 from petrimod.errors import MalformedModule, NonDisjointInterfaces
 
 from conftest import node

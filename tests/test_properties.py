@@ -1,7 +1,9 @@
-"""Law checks over randomly generated modules, driven by hypothesis."""
+"""Properties of randomly generated modules, driven by hypothesis: the
+calculus laws of `petrimod.laws`, plus facts about single operations."""
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from petrimod import (
@@ -10,7 +12,6 @@ from petrimod import (
     closure,
     compose,
     dumps,
-    empty_module,
     harmonic_pairs,
     isomorphic,
     loads,
@@ -18,6 +19,7 @@ from petrimod import (
     verify_well_formed,
 )
 from petrimod.generate import random_module
+from petrimod.laws import LAWS
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -26,36 +28,11 @@ def mod(seed, tag, **kw):
     return random_module(random.Random(f"{seed}:{tag}"), tag, **kw)
 
 
+@pytest.mark.parametrize("name", LAWS)
 @settings(deadline=None)
 @given(seeds)
-def test_composition_is_associative(seed):
-    a, b, c = mod(seed, "a"), mod(seed, "b"), mod(seed, "c")
-    assert structural_equal(compose(compose(a, b), c), compose(a, compose(b, c)))
-
-
-@settings(deadline=None)
-@given(seeds)
-def test_empty_module_is_the_identity(seed):
-    a = mod(seed, "a")
-    e = empty_module()
-    assert structural_equal(compose(e, a), a)
-    assert structural_equal(compose(a, e), a)
-
-
-@settings(deadline=None)
-@given(seeds)
-def test_closure_is_idempotent(seed):
-    c = closure(mod(seed, "a"))
-    assert structural_equal(closure(c), c)
-
-
-@settings(deadline=None)
-@given(seeds)
-def test_closure_splits_labels_across_sides(seed):
-    c = closure(mod(seed, "a", shared_interfaces=False))
-    left = set(c.left.labels(c.label_of))
-    right = set(c.right.labels(c.label_of))
-    assert not left & right
+def test_law_holds(name, seed):
+    assert LAWS[name].holds(random.Random(seed))
 
 
 @settings(deadline=None)
@@ -92,19 +69,6 @@ def test_interiors_survive_composition(seed):
     c = compose(a, b)
     assert a.interior() <= c.interior()
     assert b.interior() <= c.interior()
-
-
-@settings(deadline=None, max_examples=40)
-@given(seeds)
-def test_abstraction_laws(seed):
-    rename = IsoOptions(rename_abstract_cores=True)
-    a = mod(seed, "a", name="A")
-    b = mod(seed, "b", name="B")
-    once = abstract_of(a)
-    assert isomorphic(abstract_of(once), once, rename) is not None
-    lhs = abstract_of(compose(a, b).with_name("AB"))
-    rhs = abstract_of(compose(abstract_of(a), abstract_of(b)).with_name("AB"))
-    assert isomorphic(lhs, rhs, rename) is not None
 
 
 @settings(deadline=None)

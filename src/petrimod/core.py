@@ -20,7 +20,6 @@ import hashlib
 import re
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import (
@@ -112,12 +111,31 @@ class AtomicNodeId:
 class NodeId:
     """Node identity: a non-empty set of atoms, flattened across merges."""
 
+    # `key`, the sorted (instance, name) pairs, is filled on first use by __getattr__
+    __slots__ = ("atoms", "_hash", "key")
+
     atoms: frozenset[AtomicNodeId]
 
     def __post_init__(self):
         object.__setattr__(self, "atoms", frozenset(self.atoms))
         if not self.atoms:
             raise MalformedModule("NodeId needs at least one atom")
+        # the value the generated dataclass hash would compute on every call
+        object.__setattr__(self, "_hash", hash((self.atoms,)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __getattr__(self, name: str):
+        if name != "key":
+            raise AttributeError(name)
+        key = tuple(sorted((a.instance, a.name) for a in self.atoms))
+        object.__setattr__(self, "key", key)
+        return key
+
+    def __reduce__(self):
+        # string hashes differ between processes: rebuild rather than restore _hash
+        return NodeId, (self.atoms,)
 
     @staticmethod
     def single(instance: str, name: str) -> "NodeId":
@@ -125,10 +143,6 @@ class NodeId:
 
     def merge(self, other: "NodeId") -> "NodeId":
         return NodeId(self.atoms | other.atoms)
-
-    @cached_property
-    def key(self) -> tuple[tuple[str, str], ...]:
-        return tuple(sorted((a.instance, a.name) for a in self.atoms))
 
     def __lt__(self, other: "NodeId") -> bool:
         return self.key < other.key

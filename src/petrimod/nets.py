@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import AbstractSet, Mapping
+from functools import cached_property
+from types import MappingProxyType
+from typing import Collection, Mapping
 
 from .core import Kind, Module, Node, NodeId, compose, empty_module
 from .errors import AbstractNodePresent, IsolatedElement, NotBipartite, UnknownTransition
@@ -21,27 +23,41 @@ class NetView:
     flow: frozenset[tuple[NodeId, NodeId]]
     marking: Mapping[NodeId, int] = field(default_factory=dict)
 
+    @cached_property
+    def _adjacency(self) -> tuple[Mapping[NodeId, tuple[NodeId, ...]], Mapping[NodeId, tuple[NodeId, ...]]]:
+        # one pass over the flow, on first use; tuples keep a cached view small
+        pre: dict[NodeId, list[NodeId]] = {t: [] for t in self.transitions}
+        post: dict[NodeId, list[NodeId]] = {t: [] for t in self.transitions}
+        for s, d in self.flow:
+            if d in pre:
+                pre[d].append(s)
+            if s in post:
+                post[s].append(d)
+        return (MappingProxyType({t: tuple(ps) for t, ps in pre.items()}),
+                MappingProxyType({t: tuple(ps) for t, ps in post.items()}))
+
     def pre(self, t: NodeId) -> frozenset[NodeId]:
-        return frozenset(p for p, x in self.flow if x == t)
+        """The places feeding transition t."""
+        return frozenset(self._transition(t, 0))
 
     def post(self, t: NodeId) -> frozenset[NodeId]:
-        return frozenset(p for x, p in self.flow if x == t)
+        """The places transition t feeds."""
+        return frozenset(self._transition(t, 1))
+
+    def _transition(self, t: NodeId, side: int) -> tuple[NodeId, ...]:
+        try:
+            return self._adjacency[side][t]
+        except KeyError:
+            raise UnknownTransition(f"{t} is not a transition of this net") from None
 
 
-def adjacency(n: NetView) -> tuple[dict[NodeId, set[NodeId]], dict[NodeId, set[NodeId]]]:
-    """Pre- and post-places of every transition, in one pass over the flow.
+def adjacency(n: NetView) -> tuple[Mapping[NodeId, tuple[NodeId, ...]], Mapping[NodeId, tuple[NodeId, ...]]]:
+    """Pre- and post-places of every transition, each without repeats.
 
-    For all transitions at once; `NetView.pre`/`post` rescan the whole flow
-    for each transition they are asked about.
+    Built once per net view and shared by `NetView.pre`/`post`, the token
+    game and `factorize`.
     """
-    pre: dict[NodeId, set[NodeId]] = {t: set() for t in n.transitions}
-    post: dict[NodeId, set[NodeId]] = {t: set() for t in n.transitions}
-    for s, d in n.flow:
-        if d in pre:
-            pre[d].add(s)
-        if s in post:
-            post[s].add(d)
-    return pre, post
+    return n._adjacency
 
 
 def validate_net(a: Module) -> NetView:
@@ -75,13 +91,11 @@ def transition_atom(n: NetView, t: NodeId) -> Module:
     atoms merge when the atoms are composed.  Markings are structural noise
     here and are left out.
     """
-    if t not in n.transitions:
-        raise UnknownTransition(f"{t} is not a transition of this net")
     return _atom(t, n.pre(t), n.post(t))
 
 
-def _atom(t: NodeId, pre: AbstractSet[NodeId], post: AbstractSet[NodeId]) -> Module:
-    ring = tuple(sorted(pre | post))
+def _atom(t: NodeId, pre: Collection[NodeId], post: Collection[NodeId]) -> Module:
+    ring = tuple(sorted({*pre, *post}))
     if not ring:
         raise IsolatedElement([t], f"transition {t} has no surrounding places")
     nodes = [Node(t, str(t), Kind.TRANSITION)]

@@ -4,12 +4,25 @@ Markings are plain dicts from place id to a positive token count; absent
 means zero.  Reachability is a deterministic breadth-first sweep over token
 vectors, capped so a structurally unbounded net terminates with a truncated
 graph instead of eating the machine.
+
+The sweep runs on integers only.  Places are numbered in sorted order and a
+marking is one int with a byte-aligned field per place, place 0 in the
+lowest bytes.  The top bit of each field is a guard that a stored count
+never reaches, so one addition tests a condition on every field at once:
+adding guard - 1 sets a field's guard bit exactly when its count is at least
+1, and adding guard - 1 - cap sets it exactly when the count exceeds the cap.
+Counts are at most max(cap, initial) + 1 while a successor is being tested,
+so no field carries into the next.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Mapping, NamedTuple
+import operator
+from array import array
+from collections.abc import Sequence
+from dataclasses import dataclass, field
+from itertools import compress
+from typing import Callable, Iterator, Mapping, NamedTuple
 
 from .core import NodeId
 from .errors import NotEnabled, UnknownTransition
@@ -23,10 +36,13 @@ MAX_MARKINGS = 1_000_000
 MAX_TOKENS_PER_PLACE = 16
 
 
-def _as_vector(n: NetView, places: tuple[NodeId, ...], m: Mapping[NodeId, int]) -> tuple[int, ...]:
+def _as_vector(places: tuple[NodeId, ...], m: Mapping[NodeId, int]) -> tuple[int, ...]:
     unknown = set(m) - set(places)
     if unknown:
         raise ValueError(f"marking names non-places: {sorted(map(str, unknown))}")
+    bad = sorted(str(p) for p, k in m.items() if type(k) is not int or k < 0)
+    if bad:
+        raise ValueError(f"token counts must be non-negative integers: {bad}")
     return tuple(m.get(p, 0) for p in places)
 
 
@@ -39,51 +55,89 @@ def enabled(n: NetView, m: Mapping[NodeId, int]) -> list[NodeId]:
 def fire(n: NetView, m: Mapping[NodeId, int], t: NodeId) -> Marking:
     if t not in n.transitions:
         raise UnknownTransition(str(t))
-    pre, post = n.pre(t), n.post(t)
-    if any(m.get(p, 0) < 1 for p in pre):
+    pre, post = adjacency(n)
+    if any(m.get(p, 0) < 1 for p in pre[t]):
         raise NotEnabled(f"{t} lacks a token on some pre-place")
     out = dict(m)
-    for p in pre:
+    for p in pre[t]:
         out[p] -= 1
-    for p in post:
+    for p in post[t]:
         out[p] = out.get(p, 0) + 1
     return {p: k for p, k in out.items() if k}
 
 
-@dataclass(frozen=True)
+class _Arcs(Sequence):
+    """Read-only `(src, transition, dst)` triples over three int columns."""
+
+    __slots__ = ("_src", "_tid", "_dst", "_transitions")
+
+    def __init__(self, src: array, tid: array, dst: array, transitions: tuple[NodeId, ...]):
+        self._src, self._tid, self._dst, self._transitions = src, tid, dst, transitions
+
+    def __len__(self) -> int:
+        return len(self._src)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(*i.indices(len(self))))
+        return self._src[i], self._transitions[self._tid[i]], self._dst[i]
+
+    def __iter__(self) -> Iterator[tuple[int, NodeId, int]]:
+        ts = self._transitions
+        for s, t, d in zip(self._src, self._tid, self._dst):
+            yield s, ts[t], d
+
+
+@dataclass(frozen=True, eq=False)
 class ReachGraph:
-    """Reached token vectors plus the fired-transition arcs between them.
+    """Reached markings plus the fired-transition arcs between them.
 
     State 0 is the initial marking.  `truncated` means a cap cut the sweep
-    short, so absence from the graph proves nothing.
+    short, so absence from the graph proves nothing.  `vectors` lists each
+    state's token counts in `places` order; `arcs` is a lazy sequence of
+    `(src, transition, dst)` in the order the sweep found them.
     """
 
     places: tuple[NodeId, ...]
-    vectors: tuple[tuple[int, ...], ...]
-    arcs: tuple[tuple[int, NodeId, int], ...]
-    truncated: bool = False
+    arcs: Sequence[tuple[int, NodeId, int]]
+    truncated: bool
+    _transitions: tuple[NodeId, ...] = field(repr=False)
+    _width: int = field(repr=False)  # bytes per place field
+    _states: list[int] = field(repr=False)  # packed markings in discovery order
+    _parent: array = field(repr=False)  # the state that found each state; -1 for state 0
+    _via: array = field(repr=False)  # transition id of the arc that found it
 
     def __len__(self) -> int:
-        return len(self.vectors)
+        return len(self._states)
+
+    def _counts(self, i: int) -> Sequence[int]:
+        """State i's token counts in `places` order, as bytes when fields are one byte wide."""
+        w = self._width
+        raw = self._states[i].to_bytes(len(self.places) * w, "little")
+        if w == 1:
+            return raw
+        return tuple(int.from_bytes(raw[j : j + w], "little") for j in range(0, len(raw), w))
+
+    @property
+    def vectors(self) -> tuple[tuple[int, ...], ...]:
+        """Every state's token counts, decoded afresh on each access."""
+        return tuple(tuple(self._counts(i)) for i in range(len(self._states)))
 
     def marking(self, i: int) -> Marking:
-        return {p: k for p, k in zip(self.places, self.vectors[i]) if k}
+        counts = self._counts(i)
+        return dict(zip(compress(self.places, counts), filter(None, counts)))
 
     def markings(self) -> list[Marking]:
-        return [self.marking(i) for i in range(len(self.vectors))]
+        return [self.marking(i) for i in range(len(self._states))]
 
     def path_to(self, i: int) -> tuple[NodeId, ...]:
         """Transitions of one shortest firing sequence from state 0 to state i."""
-        parent: dict[int, tuple[int, NodeId]] = {}
-        for src, t, dst in self.arcs:
-            # arcs are recorded in BFS order, so the first arc into a state
-            # closes a shortest path
-            if dst not in parent and dst != 0:
-                parent[dst] = (src, t)
+        # a state's parent found it from the BFS layer before its own
+        i = range(len(self._states))[i]
         path: list[NodeId] = []
-        while i != 0:
-            i, t = parent[i]
-            path.append(t)
+        while i:
+            path.append(self._transitions[self._via[i]])
+            i = self._parent[i]
         return tuple(reversed(path))
 
 
@@ -101,44 +155,63 @@ def reachability(
 ) -> ReachGraph:
     places = tuple(sorted(n.places))
     index = {p: i for i, p in enumerate(places)}
-    transitions = sorted(n.transitions)
+    transitions = tuple(sorted(n.transitions))
     pre_places, post_places = adjacency(n)
-    pre = {t: sorted(index[p] for p in pre_places[t]) for t in transitions}
-    post = {t: sorted(index[p] for p in post_places[t]) for t in transitions}
+    start_vec = _as_vector(places, n.marking if initial is None else initial)
+    max_tokens_per_place = operator.index(max_tokens_per_place)  # sizes the fields
 
-    start = _as_vector(n, places, n.marking if initial is None else initial)
-    vectors: list[tuple[int, ...]] = [start]
-    seen: dict[tuple[int, ...], int] = {start: 0}
-    arcs: list[tuple[int, NodeId, int]] = []
+    width = 1
+    while 1 << (8 * width - 1) <= max(max_tokens_per_place, 0, *start_vec) + 1:
+        width += 1
+    bits = 8 * width
+    guard = 1 << (bits - 1)
+
+    def ones(indices) -> int:  # 1 in the lowest bit of each listed place's field
+        return sum(1 << (bits * i) for i in indices)
+
+    every = ones(range(len(places)))
+    # a bit above every field: `over` sets it alone when even zero tokens exceed the cap
+    top = 1 << (bits * len(places))
+    guards = every * guard | top
+    over = top if max_tokens_per_place < 0 else every * (guard - 1 - max_tokens_per_place)
+
+    moves = []  # (id, guard - 1 per pre-place, guard bits of the pre-places, post - pre)
+    for tid, t in enumerate(transitions):
+        pre = ones(index[p] for p in pre_places[t])
+        post = ones(index[p] for p in post_places[t])
+        moves.append((tid, pre * (guard - 1), pre * guard, post - pre))
+
+    start = sum(k << (bits * i) for i, k in enumerate(start_vec))
+    states = [start]
+    seen = {start: 0}
+    parent, via = array("i", [-1]), array("i", [-1])
+    src_col, tid_col, dst_col = array("i"), array("i"), array("i")
     truncated = False
 
-    head = 0
-    while head < len(vectors):
-        vec = vectors[head]
-        for t in transitions:
-            if any(vec[i] < 1 for i in pre[t]):
+    for head, m in enumerate(states):
+        for tid, h, g, delta in moves:
+            if (m + h) & g != g:
                 continue
-            nxt = list(vec)
-            for i in pre[t]:
-                nxt[i] -= 1
-            for i in post[t]:
-                nxt[i] += 1
-            succ = tuple(nxt)
-            if max(succ, default=0) > max_tokens_per_place:
+            succ = m + delta
+            if (succ + over) & guards:
                 truncated = True
                 continue
             dst = seen.get(succ)
             if dst is None:
-                if len(vectors) >= max_markings:
+                if len(states) >= max_markings:
                     truncated = True
                     continue
-                dst = len(vectors)
+                dst = len(states)
                 seen[succ] = dst
-                vectors.append(succ)
-            arcs.append((head, t, dst))
-        head += 1
+                states.append(succ)
+                parent.append(head)
+                via.append(tid)
+            src_col.append(head)
+            tid_col.append(tid)
+            dst_col.append(dst)
 
-    return ReachGraph(places, tuple(vectors), tuple(arcs), truncated)
+    arcs = _Arcs(src_col, tid_col, dst_col, transitions)
+    return ReachGraph(places, arcs, truncated, transitions, width, states, parent, via)
 
 
 def check_invariant(
@@ -146,7 +219,7 @@ def check_invariant(
 ) -> Counterexample | None:
     """First reached marking violating pred, with a shortest firing sequence
     to it; None when every reached marking satisfies pred."""
-    for i in range(len(g.vectors)):
+    for i in range(len(g)):
         m = g.marking(i)
         if not pred(m):
             return Counterexample(m, g.path_to(i))

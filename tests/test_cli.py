@@ -145,6 +145,28 @@ def test_reach_truncation_flag(capsys):
     assert "truncated: yes" in capsys.readouterr().out
 
 
+REACH_VIOLATED = """\
+markings: 11
+arcs: 30
+truncated: no
+invariant violated at marking:
+  eating (i11:eat.p_eat) = 1
+  thinking (i14:think.p_think) = 1
+  available (i16:left_use.p_avail+i17:right_use.p_avail) = 1
+  thinking (i18:think.p_think) = 1
+  eating (i3:eat.p_eat) = 1
+  thinking (i6:think.p_think) = 1
+path from initial marking: take take
+"""
+
+
+def test_reach_output_is_pinned(capsys):
+    assert main(["reach", PHIL, "phils_in_a_cycle", "--invariant", "sum(eating) <= 1"]) == 1
+    assert capsys.readouterr().out == REACH_VIOLATED
+    assert main(["reach", PHIL, "forks_in_a_cycle", "--max-markings", "4"]) == 0
+    assert capsys.readouterr().out == "markings: 4\narcs: 6\ntruncated: yes\n"
+
+
 def test_check_fixtures_all_ok(capsys):
     for path in (PHIL, PROD):
         assert main(["check", path]) == 0

@@ -1,4 +1,12 @@
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import petrimod
 
 from petrimod import (
     NodeId,
@@ -71,6 +79,29 @@ def test_merged_ids_are_flat_atom_unions():
     merged = sorted(nid for nid in c.nodes if len(nid.atoms) == 2)
     assert merged[0] == NodeId.single("a", "g1").merge(NodeId.single("b", "g1"))
     assert merged[1] == NodeId.single("a", "g2").merge(NodeId.single("b", "g2"))
+
+
+def test_node_id_hash_is_the_dataclass_hash():
+    a, b = NodeId.single("a", "g1"), NodeId.single("b", "g1")
+    for nid in (a, b, a.merge(b)):
+        assert hash(nid) == hash((nid.atoms,))
+    assert hash(a.merge(b)) == hash(b.merge(a))
+
+
+def test_node_id_unpickles_with_the_receiving_process_hash():
+    # string hashes are salted per process, so a stored hash must not travel
+    nid = NodeId.single("a", "g1").merge(NodeId.single("b", "g2"))
+    code = (
+        "import pickle, sys\n"
+        "from petrimod import NodeId\n"
+        "nid = pickle.loads(sys.stdin.buffer.read())\n"
+        "fresh = NodeId.single('a', 'g1').merge(NodeId.single('b', 'g2'))\n"
+        "assert hash(nid) == hash(fresh) and nid in {fresh}\n"
+    )
+    src = str(Path(petrimod.__file__).resolve().parents[1])
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        subprocess.run([sys.executable, "-c", code], input=pickle.dumps(nid), env=env, check=True)
 
 
 def test_edges_pass_through_merge_map():

@@ -14,7 +14,7 @@ from petrimod import (
 )
 from petrimod.errors import AbstractNodePresent, IsolatedElement, NotBipartite, UnknownTransition
 from petrimod.generate import random_net
-from petrimod.nets import NetView
+from petrimod.nets import NetView, adjacency
 
 from conftest import module, node
 
@@ -28,6 +28,21 @@ def small_net():
         flow=frozenset({(p0, t), (t, p1)}),
         marking={p0: 1},
     )
+
+
+def test_adjacency_is_built_once_and_matches_the_flow():
+    net = random_net(random.Random(5), "a")
+    pre, post = adjacency(net)
+    assert adjacency(net)[0] is pre and adjacency(net)[1] is post
+    assert set(pre) == set(post) == net.transitions
+    for t in net.transitions:
+        assert net.pre(t) == set(pre[t]) == {s for s, d in net.flow if d == t}
+        assert net.post(t) == set(post[t]) == {d for s, d in net.flow if s == t}
+        assert len(set(pre[t])) == len(pre[t]) and len(set(post[t])) == len(post[t])
+    with pytest.raises(TypeError):
+        pre[min(net.transitions)] = ()
+    with pytest.raises(UnknownTransition):
+        net.pre(min(net.places))
 
 
 def test_validate_net_accepts_fixture(phil_env):

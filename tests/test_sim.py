@@ -1,9 +1,14 @@
+import random
+import tracemalloc
+
 import pytest
 
-from petrimod import NodeId, check_invariant, enabled, evaluate, fire, reachability, validate_net
+from petrimod import (NodeId, check_invariant, enabled, evaluate, fire, fixture_path, parse, reachability,
+                      validate_net)
 from petrimod.errors import NotEnabled, UnknownTransition
+from petrimod.generate import random_net
 from petrimod.nets import NetView
-from petrimod.sim import Counterexample
+from petrimod.sim import MAX_MARKINGS, MAX_TOKENS_PER_PLACE, Counterexample
 
 
 @pytest.fixture(scope="module")
@@ -154,3 +159,149 @@ def test_initial_marking_must_name_places(phil):
     _, net = phil
     with pytest.raises(ValueError):
         reachability(net, {NodeId.single("x", "alien"): 1})
+
+
+def test_initial_marking_must_hold_counts(phil):
+    _, net = phil
+    p = min(net.places)
+    for bad in (-1, 1.0, True, None):
+        with pytest.raises(ValueError):
+            reachability(net, {p: bad})
+
+
+# -- the plain reference engine ---------------------------------------------------
+
+def reference_reachability(
+    n, initial=None, *, max_markings=MAX_MARKINGS, max_tokens_per_place=MAX_TOKENS_PER_PLACE
+):
+    """Breadth-first sweep over token tuples, one dict lookup per pre- and
+    post-place: the engine `reachability` replaced, kept as its oracle.
+
+    Returns places, vectors, arcs and truncated, plus the shortest path to
+    every state, taken from the first arc into it.
+    """
+    places = tuple(sorted(n.places))
+    index = {p: i for i, p in enumerate(places)}
+    transitions = sorted(n.transitions)
+    pre = {t: sorted(index[p] for p in n.pre(t)) for t in transitions}
+    post = {t: sorted(index[p] for p in n.post(t)) for t in transitions}
+    m = n.marking if initial is None else initial
+    start = tuple(m.get(p, 0) for p in places)
+    vectors, seen, arcs, truncated = [start], {start: 0}, [], False
+    head = 0
+    while head < len(vectors):
+        vec = vectors[head]
+        for t in transitions:
+            if any(vec[i] < 1 for i in pre[t]):
+                continue
+            nxt = list(vec)
+            for i in pre[t]:
+                nxt[i] -= 1
+            for i in post[t]:
+                nxt[i] += 1
+            succ = tuple(nxt)
+            if max(succ, default=0) > max_tokens_per_place:
+                truncated = True
+                continue
+            dst = seen.get(succ)
+            if dst is None:
+                if len(vectors) >= max_markings:
+                    truncated = True
+                    continue
+                dst = len(vectors)
+                seen[succ] = dst
+                vectors.append(succ)
+            arcs.append((head, t, dst))
+        head += 1
+
+    parent = {}
+    for src, t, dst in arcs:
+        if dst not in parent and dst != 0:
+            parent[dst] = (src, t)
+    paths = [()]
+    for i in range(1, len(vectors)):
+        src, t = parent[i]
+        paths.append(paths[src] + (t,))  # a parent is found before its children
+    return places, vectors, arcs, truncated, paths
+
+
+def assert_same_graph(net, initial=None, **caps):
+    places, vectors, arcs, truncated, paths = reference_reachability(net, initial, **caps)
+    g = reachability(net, initial, **caps)
+    assert g.places == places
+    assert g.vectors == tuple(vectors)
+    assert len(g) == len(vectors)
+    assert list(g.arcs) == arcs
+    assert len(g.arcs) == len(arcs)
+    assert g.truncated == truncated
+    for i, vec in enumerate(vectors):
+        assert g.marking(i) == {p: k for p, k in zip(places, vec) if k}
+        assert g.path_to(i) == paths[i]
+    if arcs:
+        assert g.arcs[0] == arcs[0] and g.arcs[-1] == arcs[-1]
+        assert g.arcs[1::2] == tuple(arcs[1::2])
+    return g
+
+
+# multi-byte fields need a count of at least 127 somewhere, initially or as the cap
+_COUNTS = (0, 1, 2, 3, 17, 126, 127, 128, 200, 255, 256, 1000, 40000)
+
+
+@pytest.mark.parametrize("max_markings", [1, 2, 25, 5000])
+@pytest.mark.parametrize("max_tokens", [0, 1, 16, 255, 1000])
+def test_reachability_matches_the_reference_engine(max_markings, max_tokens):
+    rng = random.Random(max_markings * 7919 + max_tokens)
+    for trial in range(12):
+        net = random_net(rng, f"d{trial}", max_transitions=6, max_places=6)
+        initial = None
+        if trial % 3:
+            initial = {p: rng.choice(_COUNTS) for p in sorted(net.places) if rng.random() < 0.5}
+        assert_same_graph(net, initial, max_markings=max_markings, max_tokens_per_place=max_tokens)
+
+
+def test_initial_marking_above_the_token_cap():
+    # p starts at 20 over a cap of 16: every successor still holds more than
+    # 16 on p, so the sweep stops at the root even though t only moves a
+    # token from q to r; with the cap lifted to 20, t fires once
+    p, q, r, t = (NodeId.single("c", x) for x in ("p", "q", "r", "t"))
+    net = NetView(frozenset({p, q, r}), frozenset({t}), frozenset({(q, t), (t, r)}), {p: 20, q: 1})
+    g = assert_same_graph(net)
+    assert g.vectors == ((20, 1, 0),)
+    assert list(g.arcs) == []
+    assert g.truncated
+    g = assert_same_graph(net, max_tokens_per_place=20)
+    assert g.vectors == ((20, 1, 0), (20, 0, 1))
+    assert list(g.arcs) == [(0, t, 1)]
+    assert not g.truncated
+    assert g.path_to(1) == (t,)
+
+
+def test_caps_at_the_edges():
+    t, p = NodeId.single("e", "t"), NodeId.single("e", "p")
+    source = NetView(frozenset({p}), frozenset({t}), frozenset({(t, p)}), {})
+    for caps in ({"max_tokens_per_place": -1}, {"max_markings": 0}, {"max_tokens_per_place": 126},
+                 {"max_tokens_per_place": 127, "max_markings": 300},
+                 {"max_tokens_per_place": 10**30, "max_markings": 50}):
+        assert_same_graph(source, **caps)
+    with pytest.raises(TypeError):  # a float cap cannot size a field
+        reachability(source, max_tokens_per_place=float("inf"))
+    # a net without places: the empty marking loops on t unless no count is allowed
+    empty = NetView(frozenset(), frozenset({t}), frozenset(), {})
+    assert list(assert_same_graph(empty).arcs) == [(0, t, 0)]
+    assert assert_same_graph(empty, max_tokens_per_place=-1).truncated
+
+
+def test_memory_per_marking_is_bounded(phil_env):
+    # own-process allocations only: the peak of one sweep over the 20-ring,
+    # whose L_20 = 15,127 markings are the independent sets of a 20-cycle
+    text = fixture_path("philosophers.hkl").read_text(encoding="utf-8")
+    ring = " . ".join(["phil_with_forks"] * 20)
+    net = validate_net(evaluate(parse(f"{text}\nring20 := ({ring})^c\n"), "ring20"))
+    tracemalloc.start()
+    try:
+        g = reachability(net)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(g) == 15127 and not g.truncated
+    assert peak / len(g) < 512

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 a checked property does not hold (not isomorphic,
 invariant violated, recomposition mismatch, well-formedness issues, not a
-net), 2 usage or input errors (unreadable file, syntax error, unbound name).
+net), 2 usage or input errors (unreadable file or output path, syntax error,
+unbound name).
 """
 
 from __future__ import annotations
@@ -44,8 +45,8 @@ class _Failure(Exception):
 def _load(path: str) -> Environment:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as e:
-        raise _Failure(2, f"cannot read {path}: {e.strerror or e}") from None
+    except (OSError, UnicodeDecodeError) as e:
+        raise _Failure(2, f"cannot read {path}: {getattr(e, 'strerror', None) or e}") from None
     try:
         return parse(text)
     except DslError as e:
@@ -72,7 +73,10 @@ def _write(text: str, out: str | None):
     if out in (None, "-"):
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text, encoding="utf-8")
+        try:
+            Path(out).write_text(text, encoding="utf-8")
+        except OSError as e:
+            raise _Failure(2, f"cannot write {out}: {e.strerror or e}") from None
 
 
 # -- commands -------------------------------------------------------------------

@@ -20,7 +20,8 @@ import hashlib
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
+from operator import attrgetter
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import (
     KindMismatch,
@@ -226,11 +227,26 @@ class HarmonicPair:
     index: int
 
 
-def _slots_by_label(slots: Iterable[NodeId], label_of: Callable[[NodeId], str]) -> dict[str, list[NodeId]]:
-    by: dict[str, list[NodeId]] = {}
-    for nid in slots:
-        by.setdefault(label_of(nid), []).append(nid)
+def _slots_by_label(slots: Iterable, label_of: Callable) -> dict[str, list]:
+    by: dict[str, list] = {}
+    for slot in slots:
+        by.setdefault(label_of(slot), []).append(slot)
     return by
+
+
+def _pair_slots(xs: Iterable, ys: Iterable, label_of: Callable) -> list[tuple]:
+    """The pairing rule: (label, index, x, y) for every slot x of `xs` and y
+    of `ys` with equal label and equal per-label index, sorted by (label, index).
+
+    Per-label indices count 1..n in slot order, so for each label the pairs
+    are the first min(|xs_l|, |ys_l|) slots of each side zipped together.
+    """
+    by_y = _slots_by_label(ys, label_of)
+    pairs = []
+    for label, xl in _slots_by_label(xs, label_of).items():
+        pairs += ((label, i, x, y) for i, (x, y) in enumerate(zip(xl, by_y.get(label, ())), start=1))
+    pairs.sort(key=lambda p: p[:2])
+    return pairs
 
 
 def harmonic_pairs(
@@ -240,21 +256,12 @@ def harmonic_pairs(
 ) -> tuple[HarmonicPair, ...]:
     """All pairs (x in r, y in s) with equal label and equal per-label index.
 
-    The two interfaces must not share a node; for each label the pairs are
-    simply the first min(|r_l|, |s_l|) slots of each side zipped together,
-    because per-label indices count 1..n in slot order.
+    The two interfaces must not share a node.
     """
     shared = set(r.slots) & set(s.slots)
     if shared:
         raise NonDisjointInterfaces(shared)
-    by_r = _slots_by_label(r, label_of)
-    by_s = _slots_by_label(s, label_of)
-    pairs = []
-    for label in by_r:
-        for i, (x, y) in enumerate(zip(by_r[label], by_s.get(label, ())), start=1):
-            pairs.append(HarmonicPair(x, y, label, i))
-    pairs.sort(key=lambda p: (p.label, p.index))
-    return tuple(pairs)
+    return tuple(HarmonicPair(x, y, label, i) for label, i, x, y in _pair_slots(r, s, label_of))
 
 
 class Module:
@@ -366,61 +373,87 @@ def is_monolithic(a: Module) -> bool:
     return set(a.left) == set(a.right)
 
 
-def _merged_node(members: Iterable[NodeId]) -> NodeId:
-    out: frozenset[AtomicNodeId] = frozenset()
-    for nid in members:
-        out |= nid.atoms
-    return NodeId(out)
+def _glue(parts: Sequence[Module], cls: Mapping[NodeId, NodeId],
+          left: Iterable[NodeId], right: Iterable[NodeId]) -> Module:
+    """Build the module of `parts` with the nodes of each class merged into one.
 
-
-def compose(a: Module, b: Module) -> Module:
-    """Glue `a` and `b` by merging the harmonic pairs of a's right and b's left interface.
-
-    The operands must have disjoint atom sets.  Merged nodes take the union of
-    their atoms and the sum of their tokens.  The result's left interface is
-    a's left interface (merge-mapped) followed by b's unmatched left slots in
-    order; the right interface is b's right interface followed by a's
-    unmatched right slots.  With per-label indices derived from slot order,
-    the appended leftovers land exactly at index p + n - m, where p counts the
-    label on the kept side, n is the leftover's old index and m the number of
-    merged pairs of that label.  Composition is total: without any harmonic
-    pair it degrades to a disjoint union with concatenated interfaces.
+    The one merge-and-rebuild behind `compose` and `closure`.  `cls` maps
+    every merged node to a key its whole class shares; `left` and `right`
+    are the result's interfaces in unmerged node ids.  A merged node takes
+    the union of its members' atoms, the sum of their tokens and the place
+    of its first member in part order.
     """
-    shared = a.atom_set & b.atom_set
-    if shared:
-        raise NonDisjointOperands(shared)
-
-    pairs = harmonic_pairs(a.right, b.left, lambda n: (a if n in a.nodes else b).label_of(n))
-    merged: dict[NodeId, NodeId] = {}
-    for p in pairs:
-        if a.kind_of(p.left) is not b.kind_of(p.right):
-            raise KindMismatch(
-                f"pair {p.label!r}@{p.index} merges {a.kind_of(p.left).value} with {b.kind_of(p.right).value}"
-            )
-        m = p.left.merge(p.right)
-        merged[p.left] = m
-        merged[p.right] = m
-
-    def mp(nid: NodeId) -> NodeId:
-        return merged.get(nid, nid)
+    atoms: dict[NodeId, list[frozenset[AtomicNodeId]]] = {}
+    for nid, key in cls.items():
+        atoms.setdefault(key, []).append(nid.atoms)
+    target = {key: NodeId(frozenset().union(*group)) for key, group in atoms.items()}
+    mp = {nid: target[key] for nid, key in cls.items()}.get
 
     nodes: dict[NodeId, Node] = {}
-    for mod in (a, b):
-        for node in mod.nodes.values():
-            nid = mp(node.id)
-            nodes[nid] = node if nid is node.id else Node(nid, node.label, node.kind)
+    for part in parts:
+        for nid, node in part.nodes.items():
+            merged = mp(nid)
+            if merged is None:
+                nodes[nid] = node
+            elif merged not in nodes:
+                nodes[merged] = Node(merged, node.label, node.kind)
 
-    edges = {(mp(s), mp(d)) for s, d in a.edges | b.edges}
-    left = tuple(mp(n) for n in a.left) + tuple(n for n in b.left if n not in merged)
-    right = tuple(mp(n) for n in b.right) + tuple(n for n in a.right if n not in merged)
+    if cls:
+        edges = {(mp(s, s), mp(d, d)) for part in parts for s, d in part.edges}
+    else:
+        edges = frozenset().union(*(part.edges for part in parts))
 
     marking: dict[NodeId, int] = {}
-    for mod in (a, b):
-        for nid, count in mod.marking.items():
-            key = mp(nid)
+    for part in parts:
+        for nid, count in part.marking.items():
+            key = mp(nid, nid)
             marking[key] = marking.get(key, 0) + count
 
-    return Module(nodes, edges, left, right, marking)
+    return Module(nodes, edges, [mp(n, n) for n in left], [mp(n, n) for n in right], marking)
+
+
+def compose(*parts: Module) -> Module:
+    """Glue modules left to right: `compose(a, b, c)` is `compose(compose(a, b), c)`.
+
+    Composing `a` with `b` merges the harmonic pairs of a's right and b's
+    left interface.  The operands must have disjoint atom sets.  Merged
+    nodes take the union of their atoms and the sum of their tokens.  The
+    result's left interface is a's left interface (merge-mapped) followed by
+    b's unmatched left slots in order; the right interface is b's right
+    interface followed by a's unmatched right slots.  With per-label indices
+    derived from slot order, the appended leftovers land exactly at index
+    p + n - m, where p counts the label on the kept side, n is the
+    leftover's old index and m the number of merged pairs of that label.
+    Composition is total: without any harmonic pair it degrades to a
+    disjoint union with concatenated interfaces.  No parts give the empty
+    module.  Only the interfaces are folded and the result is built once;
+    errors come in the fold's order.
+    """
+    atoms: set[AtomicNodeId] = set()
+    cls: dict[NodeId, NodeId] = {}  # merged node -> first member of its class
+    left: list[Node] = []
+    right: list[Node] = []
+    for k, part in enumerate(parts):
+        part_left = [part.nodes[nid] for nid in part.left]
+        try:
+            shared = atoms.intersection(part.atom_set)
+            if shared:
+                raise NonDisjointOperands(shared)
+            pairs = _pair_slots(right, part_left, attrgetter("label")) if right else []
+            for label, i, x, y in pairs:
+                if x.kind is not y.kind:
+                    raise KindMismatch(f"pair {label!r}@{i} merges {x.kind.value} with {y.kind.value}")
+        except (NonDisjointOperands, KindMismatch):
+            # the binary fold would have built, and so checked, the chain so far
+            _glue(parts[:k], cls, (), ())
+            raise
+        atoms |= part.atom_set
+        for _, _, x, y in pairs:
+            cls[y.id] = cls.setdefault(x.id, x.id)
+        paired = {node.id for pair in pairs for node in pair[2:]}
+        left += (node for node in part_left if node.id not in paired)
+        right = [part.nodes[nid] for nid in part.right] + [node for node in right if node.id not in paired]
+    return _glue(parts, cls, [node.id for node in left], [node.id for node in right])
 
 
 def closure(a: Module) -> Module:
@@ -433,14 +466,7 @@ def closure(a: Module) -> Module:
     may chain, so the merge classes are computed with union-find.  Closure is
     total and idempotent.
     """
-    by_r = _slots_by_label(a.right, a.label_of)
-    by_l = _slots_by_label(a.left, a.label_of)
-
-    pairs: list[tuple[NodeId, NodeId]] = []  # (right slot, left slot)
-    for label, rs in by_r.items():
-        for r, l in zip(rs, by_l.get(label, ())):
-            if r != l:
-                pairs.append((r, l))
+    pairs = [(r, l) for _, _, r, l in _pair_slots(a.right, a.left, a.label_of) if r != l]
 
     parent: dict[NodeId, NodeId] = {}
 
@@ -457,34 +483,14 @@ def closure(a: Module) -> Module:
         parent.setdefault(l, l)
         parent[find(r)] = find(l)
 
-    classes: dict[NodeId, list[NodeId]] = {}
-    for nid in parent:
-        classes.setdefault(find(nid), []).append(nid)
-    remap: dict[NodeId, NodeId] = {}
-    for members in classes.values():
-        target = _merged_node(members)
-        for nid in members:
-            remap[nid] = target
-
-    def mp(nid: NodeId) -> NodeId:
-        return remap.get(nid, nid)
-
     dropped_left = {l for _, l in pairs}
     dropped_right = {r for r, _ in pairs}
-
-    nodes: dict[NodeId, Node] = {}
-    for node in a.nodes.values():
-        nid = mp(node.id)
-        nodes[nid] = node if nid is node.id else Node(nid, node.label, node.kind)
-    edges = {(mp(s), mp(d)) for s, d in a.edges}
-    left = tuple(mp(n) for n in a.left if n not in dropped_left)
-    right = tuple(mp(n) for n in a.right if n not in dropped_right)
-    marking: dict[NodeId, int] = {}
-    for nid, count in a.marking.items():
-        key = mp(nid)
-        marking[key] = marking.get(key, 0) + count
-
-    return Module(nodes, edges, left, right, marking)
+    return _glue(
+        (a,),
+        {nid: find(nid) for nid in parent},
+        [n for n in a.left if n not in dropped_left],
+        [n for n in a.right if n not in dropped_right],
+    )
 
 
 def abstract_of(a: Module) -> Module:
@@ -511,11 +517,8 @@ def abstract_of(a: Module) -> Module:
 
 
 def seam(parts: Iterable[Module]) -> Module:
-    """Fold composition over the abstract versions of the given modules."""
-    acc = empty_module()
-    for part in parts:
-        acc = compose(acc, abstract_of(part))
-    return acc
+    """Compose the abstract versions of the given modules, in order."""
+    return compose(*map(abstract_of, parts))
 
 
 def _atom_set(nodes: Iterable[NodeId]) -> frozenset[AtomicNodeId]:

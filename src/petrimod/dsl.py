@@ -481,7 +481,12 @@ def _eval(env: Environment, expr: ModuleExpr, counter) -> Module:
             else:
                 raise UnboundName(f"{item.name!r} is not bound", item.line or None)
         elif isinstance(item, Compose):
-            work += ((compose, 2), item.right, item.left)
+            # a left-associated spine a . b . c is one n-ary composition
+            operands = []
+            while isinstance(item, Compose):
+                operands.append(item.right)
+                item = item.left
+            work += ((compose, len(operands) + 1), *operands, item)
         elif isinstance(item, Closure):
             work += ((closure, 1), item.inner)
         elif isinstance(item, Abstr):

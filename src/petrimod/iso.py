@@ -13,20 +13,13 @@ __all__ = ["IsoOptions", "IsoWitness", "structural_equal", "isomorphic", "verify
 
 @dataclass(frozen=True)
 class IsoOptions:
-    """Mutually exclusive matching modes.
+    """Matching mode.
 
     rename_abstract_cores: labels of abstract-kind nodes are matched through
     one consistent bijective renaming instead of string equality.
-    require_identical_atoms: only the identity mapping is considered, which
-    turns the check into structural comparison of marking-free content.
     """
 
     rename_abstract_cores: bool = False
-    require_identical_atoms: bool = False
-
-    def __post_init__(self):
-        if self.rename_abstract_cores and self.require_identical_atoms:
-            raise ValueError("rename_abstract_cores and require_identical_atoms are mutually exclusive")
 
 
 @dataclass(frozen=True)
@@ -297,12 +290,6 @@ def isomorphic(
     """
     opts = options or IsoOptions()
 
-    if opts.require_identical_atoms:
-        if set(a.nodes) != set(b.nodes):
-            return None
-        witness = IsoWitness(tuple(sorted((n, n) for n in a.nodes)))
-        return witness if verify_witness(a, b, witness, opts) else None
-
     if len(a.nodes) != len(b.nodes) or len(a.edges) != len(b.edges):
         return None
 
@@ -329,8 +316,6 @@ def verify_witness(a: Module, b: Module, witness: IsoWitness, options: IsoOption
     if set(mapping) != set(a.nodes) or set(mapping.values()) != set(b.nodes):
         return False
     if len(set(mapping.values())) != len(mapping):
-        return False
-    if opts.require_identical_atoms and any(u != v for u, v in mapping.items()):
         return False
 
     ren: dict[str, str] = {}

@@ -24,7 +24,8 @@ _RENAME = IsoOptions(rename_abstract_cores=True)
 
 def associativity(rng: random.Random) -> bool:
     a, b, c = (random_module(rng, t) for t in ("a", "b", "c"))
-    return structural_equal(compose(compose(a, b), c), compose(a, compose(b, c)))
+    abc = compose(a, b, c)
+    return structural_equal(compose(compose(a, b), c), abc) and structural_equal(compose(a, compose(b, c)), abc)
 
 
 def identity(rng: random.Random) -> bool:

@@ -7,7 +7,7 @@ from functools import cached_property
 from types import MappingProxyType
 from typing import Collection, Mapping
 
-from .core import Kind, Module, Node, NodeId, compose, empty_module
+from .core import Kind, Module, Node, NodeId, compose
 from .errors import AbstractNodePresent, IsolatedElement, NotBipartite, UnknownTransition
 from .iso import IsoOptions, IsoWitness, isomorphic
 
@@ -118,11 +118,11 @@ class Factorization:
 def factorize(n: NetView) -> Factorization:
     """Split a net into its transition atoms and check they compose back to it.
 
-    Atoms are ordered by canonical transition id.  The recomposition folds
-    composition over fresh copies of the atoms (composition operands must be
-    atom-disjoint, while the atoms themselves share places); identity labels
-    then merge shared places back together.  The fold is compared against the
-    net's monolithic module up to isomorphism, which is the right equivalence
+    Atoms are ordered by canonical transition id.  The recomposition composes
+    fresh copies of the atoms (composition operands must be atom-disjoint,
+    while the atoms themselves share places); identity labels then merge
+    shared places back together.  The result is compared against the net's
+    monolithic module up to isomorphism, which is the right equivalence
     because merged copies carry union identities.
     """
     pre, post = adjacency(n)
@@ -132,9 +132,7 @@ def factorize(n: NetView) -> Factorization:
         raise IsolatedElement(isolated)
 
     atoms = tuple(_atom(t, pre[t], post[t]) for t in sorted(n.transitions))
-    recomposed = empty_module()
-    for i, atom in enumerate(atoms, start=1):
-        recomposed = compose(recomposed, atom.retagged(f"f{i}"))
+    recomposed = compose(*(atom.retagged(f"f{i}") for i, atom in enumerate(atoms, start=1)))
     reference = net_to_module(n)
     witness = isomorphic(recomposed, reference, IsoOptions())
     return Factorization(atoms, recomposed, reference, witness is not None, witness)

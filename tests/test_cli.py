@@ -40,6 +40,25 @@ def test_unreadable_file_is_usage_error(capsys, tmp_path):
     assert "cannot read" in capsys.readouterr().err
 
 
+def test_file_that_is_not_utf8_is_usage_error(capsys, tmp_path):
+    f = tmp_path / "latin1.hkl"
+    f.write_bytes("alphabet { places: caf\u00e9; }".encode("latin-1"))
+    assert main(["check", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cannot read") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["dump", PHIL, "fork", "-o", "{tmp}/missing/fork.json"],
+    ["render", PHIL, "fork", "--dot", "{tmp}/missing/fork.dot"],
+    ["export-pnml", PHIL, "phils_in_a_cycle", "{tmp}"],
+], ids=["dump-missing-dir", "render-missing-dir", "pnml-to-directory"])
+def test_unwritable_output_is_usage_error(capsys, tmp_path, argv):
+    assert main([a.format(tmp=tmp_path) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cannot write") and err.count("\n") == 1
+
+
 def test_syntax_error_is_usage_error(capsys, tmp_path):
     f = tmp_path / "bad.hkl"
     f.write_text("alphabet { colours: red; }", encoding="utf-8")

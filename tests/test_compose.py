@@ -1,7 +1,10 @@
+import functools
 import os
 import pickle
+import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -9,15 +12,23 @@ import pytest
 import petrimod
 
 from petrimod import (
+    Kind,
+    Module,
+    Node,
     NodeId,
     compose,
+    core,
+    dumps,
     empty_module,
     evaluate,
+    fixture_path,
     is_monolithic,
+    parse,
     structural_equal,
     verify_well_formed,
 )
-from petrimod.errors import NonDisjointOperands
+from petrimod.errors import KindMismatch, NonDisjointOperands, PetrimodError
+from petrimod.generate import random_module
 
 from conftest import module, node
 
@@ -136,6 +147,15 @@ def test_shared_atoms_rejected():
         compose(a, b)
 
 
+def test_kind_mismatch_names_the_first_pair_in_label_order():
+    a_nodes = [Node(NodeId.single("a", lab), lab, Kind.PLACE) for lab in ("q", "p")]
+    b_nodes = [Node(NodeId.single("b", lab), lab, Kind.TRANSITION) for lab in ("q", "p")]
+    a = module(a_nodes, right=[n.id for n in a_nodes])
+    b = module(b_nodes, left=[n.id for n in b_nodes])
+    with pytest.raises(KindMismatch, match=r"^pair 'p'@1 merges place with transition$"):
+        compose(a, b)
+
+
 def test_marking_sums_on_merged_places():
     pa = node("a", "pl", "p")
     pb = node("b", "pl", "p")
@@ -176,3 +196,116 @@ def test_monolithic_predicate():
     assert is_monolithic(empty_module())
     onesided = module([x], left=[x.id])
     assert not is_monolithic(onesided)
+
+
+# -- n-ary composition against the binary fold ------------------------------------
+
+
+def reference_compose(a, b):
+    """The plain binary composition: pair, merge, rebuild the whole module."""
+    shared = a.atom_set & b.atom_set
+    if shared:
+        raise NonDisjointOperands(shared)
+    by_r, by_l = {}, {}
+    for side, by, m in ((a.right, by_r, a), (b.left, by_l, b)):
+        for nid in side:
+            by.setdefault(m.label_of(nid), []).append(nid)
+    pairs = sorted(
+        (label, i, x, y)
+        for label, xs in by_r.items()
+        for i, (x, y) in enumerate(zip(xs, by_l.get(label, ())), start=1)
+    )
+    merged = {}
+    for label, i, x, y in pairs:
+        if a.kind_of(x) is not b.kind_of(y):
+            raise KindMismatch(f"pair {label!r}@{i} merges {a.kind_of(x).value} with {b.kind_of(y).value}")
+        merged[x] = merged[y] = x.merge(y)
+    mp = lambda nid: merged.get(nid, nid)
+    nodes = {}
+    for m in (a, b):
+        for node in m.nodes.values():
+            nid = mp(node.id)
+            nodes[nid] = node if nid is node.id else Node(nid, node.label, node.kind)
+    marking = {}
+    for m in (a, b):
+        for nid, count in m.marking.items():
+            marking[mp(nid)] = marking.get(mp(nid), 0) + count
+    return Module(
+        nodes,
+        {(mp(s), mp(d)) for s, d in a.edges | b.edges},
+        [mp(n) for n in a.left] + [n for n in b.left if n not in merged],
+        [mp(n) for n in b.right] + [n for n in a.right if n not in merged],
+        marking,
+    )
+
+
+def _outcome(fn):
+    try:
+        m = fn()
+    except PetrimodError as e:
+        return type(e), str(e)
+    return dumps(m), list(m.nodes), list(m.marking.items()), m.left.slots, m.right.slots, m.name
+
+
+def _rekinded(m, label):
+    """`m` with every node labelled `label` moved to another kind."""
+    flip = {Kind.PLACE: Kind.TRANSITION, Kind.TRANSITION: Kind.ABSTRACT, Kind.ABSTRACT: Kind.PLACE}
+    nodes = [Node(n.id, n.label, flip[n.kind]) if n.label == label else n for n in m.nodes.values()]
+    marking = {nid: c for nid, c in m.marking.items() if m.label_of(nid) != label}
+    return Module(nodes, m.edges, m.left, m.right, marking)
+
+
+def _chain(rng):
+    parts = []
+    for k in range(rng.randint(0, 6)):
+        if parts and rng.random() < 0.4:
+            # the same slot labels again, so merges chain through nodes on both sides
+            part = parts[-1].retagged(f"r{k}")
+        else:
+            tag = f"p{rng.randrange(k)}" if k and rng.random() < 0.1 else f"p{k}"  # a reused tag shares atoms
+            part = random_module(rng, tag, max_nodes=rng.choice((3, 6, 12)))
+        if rng.random() < 0.1:
+            part = _rekinded(part, rng.choice(sorted({n.label for n in part.nodes.values()})))
+        parts.append(part)
+    return parts
+
+
+def test_nary_compose_matches_the_binary_fold():
+    rng = random.Random(5)
+    seen = Counter()
+    for _ in range(1500):
+        parts = _chain(rng)
+        want = _outcome(lambda: functools.reduce(reference_compose, parts, empty_module()))
+        assert _outcome(lambda: compose(*parts)) == want
+        if isinstance(want[0], str):
+            seen["ok"] += 1
+            seen["chained"] += any(len(nid.atoms) > 2 for nid in want[1])
+        else:
+            seen[want[0].__name__] += 1
+    # every branch is exercised: chained merges and each error kind
+    assert min(seen.values()) >= 20, seen
+    assert set(seen) == {"ok", "chained", "NonDisjointOperands", "KindMismatch", "MalformedModule"}
+
+
+def test_compose_of_one_or_no_parts():
+    a, _ = two_gamma_operands()
+    assert structural_equal(compose(a), a) and compose(a).name is None
+    assert structural_equal(compose(), empty_module())
+
+
+def _problem_nodes_for_a_row(monkeypatch, phil_src, n):
+    env = parse(phil_src + "\nrow := " + " . ".join(["phil_with_forks"] * n) + "\n")
+    seen = []
+    checker = core._problems
+    monkeypatch.setattr(core, "_problems", lambda nodes, *rest: seen.append(len(nodes)) or checker(nodes, *rest))
+    assert len(evaluate(env, "row").nodes) == 5 * n + 1
+    monkeypatch.undo()
+    return sum(seen)
+
+
+def test_a_composition_chain_is_checked_in_linear_work(monkeypatch):
+    src = fixture_path("philosophers.hkl").read_text(encoding="utf-8")
+    short = _problem_nodes_for_a_row(monkeypatch, src, 100)
+    long = _problem_nodes_for_a_row(monkeypatch, src, 200)
+    # a fold that rebuilds the chain at every step checks ~N^2/2 nodes: ratio ~4
+    assert long / short < 2.5, (short, long)

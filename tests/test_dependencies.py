@@ -1,0 +1,33 @@
+"""The package keeps zero runtime dependencies: its modules import only the
+standard library and petrimod itself, and pyproject declares nothing."""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_package_imports_only_the_standard_library():
+    foreign = []
+    for path in sorted((ROOT / "src" / "petrimod").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:  # level > 0 stays inside petrimod
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                if top != "petrimod" and top not in sys.stdlib_module_names:
+                    foreign.append(f"{path.name}:{node.lineno} {name}")
+    assert foreign == []
+
+
+def test_pyproject_declares_no_runtime_dependencies():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    assert project["dependencies"] == []

@@ -50,6 +50,15 @@ def test_three_pairs_across_two_alpha_and_one_beta():
     ]
 
 
+def test_pairs_come_sorted_by_label_then_index():
+    r = [node("r", f"r{i}", lab) for i, lab in enumerate(["beta", "alpha", "beta"])]
+    s = [node("s", f"s{i}", lab) for i, lab in enumerate(["beta", "beta", "alpha"])]
+    pairs = harmonic_pairs(Interface(tuple(n.id for n in r)), Interface(tuple(n.id for n in s)), _label_map(*r, *s))
+    assert [(p.label, p.index, p.left, p.right) for p in pairs] == [
+        ("alpha", 1, r[1].id, s[2].id), ("beta", 1, r[0].id, s[0].id), ("beta", 2, r[2].id, s[1].id),
+    ]
+
+
 def test_single_pair_when_only_first_alpha_matches():
     r = [node("r", f"r{i}", lab) for i, lab in enumerate(["alpha", "alpha", "beta"])]
     s = [node("s", f"s{i}", lab) for i, lab in enumerate(["alpha", "gamma"])]

@@ -125,17 +125,6 @@ def test_budget_exhaustion_raises():
         isomorphic(a, b, budget=3)
 
 
-def test_require_identical_atoms():
-    a = chain("a", ["alpha", "beta"])
-    same = chain("a", ["alpha", "beta"])
-    other = chain("b", ["alpha", "beta"])
-    opts = IsoOptions(require_identical_atoms=True)
-    assert isomorphic(a, same, opts) is not None
-    assert isomorphic(a, other, opts) is None
-    with pytest.raises(ValueError):
-        IsoOptions(rename_abstract_cores=True, require_identical_atoms=True)
-
-
 def test_index_anchoring_distinguishes_line_variants(prod_env):
     # both lines leave one product and two parcels on the right, but the
     # unwrapped line sits at material index 1 in one and 3 in the other, so

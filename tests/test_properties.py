@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from petrimod import (
-    IsoOptions,
     abstract_of,
     closure,
     compose,
@@ -83,4 +82,3 @@ def test_dump_round_trips(seed):
 def test_isomorphism_is_reflexive_under_retagging(seed):
     a = mod(seed, "a")
     assert isomorphic(a, a.retagged("zz")) is not None
-    assert isomorphic(a, a, IsoOptions(require_identical_atoms=True)) is not None

@@ -108,45 +108,53 @@ class AtomicNodeId:
         return f"{self.instance}:{self.name}"
 
 
-@dataclass(frozen=True)
-class NodeId:
-    """Node identity: a non-empty set of atoms, flattened across merges."""
+class NodeId(frozenset):
+    """Node identity: a non-empty set of atoms, flattened across merges.
+
+    Hashing and equality are the atom set's, computed in C, and the hash is
+    cached in the object.  A NodeId equals only another NodeId, never a
+    plain set.  `<` and `>` order ids by `key`; `<=` and `>=` raise.
+    """
 
     # `key`, the sorted (instance, name) pairs, is filled on first use by __getattr__
-    __slots__ = ("atoms", "_hash", "key")
+    __slots__ = ("key",)
+    __hash__ = frozenset.__hash__
+    __ne__ = object.__ne__  # the negation of __eq__
+    __le__ = __ge__ = object.__le__  # NotImplemented, so TypeError
 
-    atoms: frozenset[AtomicNodeId]
-
-    def __post_init__(self):
-        object.__setattr__(self, "atoms", frozenset(self.atoms))
-        if not self.atoms:
+    def __new__(cls, atoms: Iterable[AtomicNodeId]):
+        self = super().__new__(cls, atoms)
+        if not self:
             raise MalformedModule("NodeId needs at least one atom")
-        # the value the generated dataclass hash would compute on every call
-        object.__setattr__(self, "_hash", hash((self.atoms,)))
+        return self
 
-    def __hash__(self) -> int:
-        return self._hash
+    @property
+    def atoms(self) -> frozenset[AtomicNodeId]:
+        return self
 
     def __getattr__(self, name: str):
         if name != "key":
             raise AttributeError(name)
-        key = tuple(sorted((a.instance, a.name) for a in self.atoms))
-        object.__setattr__(self, "key", key)
+        self.key = key = tuple(sorted((a.instance, a.name) for a in self))
         return key
-
-    def __reduce__(self):
-        # string hashes differ between processes: rebuild rather than restore _hash
-        return NodeId, (self.atoms,)
 
     @staticmethod
     def single(instance: str, name: str) -> "NodeId":
-        return NodeId(frozenset((AtomicNodeId(instance, name),)))
+        return NodeId((AtomicNodeId(instance, name),))
 
     def merge(self, other: "NodeId") -> "NodeId":
-        return NodeId(self.atoms | other.atoms)
+        return NodeId(self | other)
+
+    def __eq__(self, other: object):
+        if isinstance(other, NodeId):
+            return frozenset.__eq__(self, other)
+        return False if isinstance(other, (set, frozenset)) else NotImplemented
 
     def __lt__(self, other: "NodeId") -> bool:
         return self.key < other.key
+
+    def __gt__(self, other: "NodeId") -> bool:
+        return self.key > other.key
 
     def __str__(self) -> str:
         return "+".join(f"{i}:{n}" for i, n in self.key)
@@ -296,7 +304,7 @@ class Module:
         right_if = right if isinstance(right, Interface) else Interface(tuple(right))
         # an int zero is no token; anything else is kept for the checker to judge
         mark = {nid: count for nid, count in (marking or {}).items() if count or type(count) is not int}
-        atoms = _atom_set(node_map)
+        atoms = frozenset().union(*node_map)
         for problem in _problems(node_map, edge_set, left_if, right_if, mark, name, atoms):
             raise MalformedModule(problem)
 
@@ -346,7 +354,7 @@ class Module:
         isomorphic to the original but atom-disjoint from it.
         """
         remap: dict[NodeId, NodeId] = {
-            nid: NodeId(frozenset(AtomicNodeId(f"{prefix}/{a.instance}", a.name) for a in nid.atoms))
+            nid: NodeId(AtomicNodeId(f"{prefix}/{a.instance}", a.name) for a in nid.atoms)
             for nid in self.nodes
         }
         return Module(
@@ -383,10 +391,10 @@ def _glue(parts: Sequence[Module], cls: Mapping[NodeId, NodeId],
     the union of its members' atoms, the sum of their tokens and the place
     of its first member in part order.
     """
-    atoms: dict[NodeId, list[frozenset[AtomicNodeId]]] = {}
+    members: dict[NodeId, list[NodeId]] = {}
     for nid, key in cls.items():
-        atoms.setdefault(key, []).append(nid.atoms)
-    target = {key: NodeId(frozenset().union(*group)) for key, group in atoms.items()}
+        members.setdefault(key, []).append(nid)
+    target = {key: NodeId(frozenset().union(*group)) for key, group in members.items()}
     mp = {nid: target[key] for nid, key in cls.items()}.get
 
     nodes: dict[NodeId, Node] = {}
@@ -521,13 +529,6 @@ def seam(parts: Iterable[Module]) -> Module:
     return compose(*map(abstract_of, parts))
 
 
-def _atom_set(nodes: Iterable[NodeId]) -> frozenset[AtomicNodeId]:
-    atoms: set[AtomicNodeId] = set()
-    for nid in nodes:
-        atoms |= nid.atoms
-    return frozenset(atoms)
-
-
 def _problems(
     nodes: Mapping[NodeId, Node],
     edges: Iterable[tuple[NodeId, NodeId]],
@@ -538,7 +539,7 @@ def _problems(
     atoms: frozenset[AtomicNodeId],
 ) -> Iterator[str]:
     """Every structural violation of a module's parts, in a fixed order;
-    `atoms` is `_atom_set(nodes)`.
+    `atoms` is the union of the nodes' atom sets.
 
     The one checker behind both `Module(...)` and `verify_well_formed`.
     Invariants that `Node`, `NodeId` and `Interface` enforce when they are
@@ -548,13 +549,12 @@ def _problems(
     """
     kind_by_label: dict[str, Kind] = {}
     for nid, node in nodes.items():
-        # identity first: the dataclass __eq__ compares whole atom sets
-        if node.id is not nid and node.id != nid:
+        if node.id is not nid and node.id != nid:  # identity first: `!=` runs NodeId.__eq__
             yield f"node map key {nid} != node id {node.id}"
         prev = kind_by_label.setdefault(node.label, node.kind)
         if prev is not node.kind:
             yield f"label {node.label!r} used with kinds {prev.value} and {node.kind.value}"
-    if sum(len(nid.atoms) for nid in nodes) != len(atoms):
+    if sum(map(len, nodes)) != len(atoms):
         yield "distinct nodes share atoms"
 
     for src, dst in edges:
@@ -587,4 +587,4 @@ def verify_well_formed(a: Module) -> list[str]:
     `nodes` or `marking` dict was changed after construction, can be
     checked independently.
     """
-    return list(_problems(a.nodes, a.edges, a.left, a.right, a.marking, a.name, _atom_set(a.nodes)))
+    return list(_problems(a.nodes, a.edges, a.left, a.right, a.marking, a.name, frozenset().union(*a.nodes)))

@@ -216,6 +216,7 @@ class _Parser:
         snippets: dict[str, SnippetDecl] = {}
         definitions: dict[str, ModuleExpr] = {}
         order: list[str] = []
+        lines: dict[str, int] = {}  # binding name -> line
 
         while self.peek().kind != "eof":
             tok = self.peek()
@@ -232,6 +233,7 @@ class _Parser:
                     raise DuplicateName(f"{decl.name!r} is already bound", decl.line)
                 snippets[decl.name] = decl
                 order.append(decl.name)
+                lines[decl.name] = decl.line
             elif tok.kind == "ident":
                 name_tok = self.fresh_name("a definition name")
                 self.expect(":=")
@@ -240,12 +242,18 @@ class _Parser:
                     raise DuplicateName(f"{name_tok.text!r} is already bound", name_tok.line)
                 definitions[name_tok.text] = expr
                 order.append(name_tok.text)
+                lines[name_tok.text] = name_tok.line
                 self.skip_separator()
             else:
                 raise DslSyntaxError(f"unexpected {tok.text!r} at top level", tok.line)
 
         env = Environment(alphabet or Alphabet(), snippets, definitions, tuple(order))
         _validate(env, alphabet_line)
+        for name, line in lines.items():
+            # abstraction labels a module's core with its name, as an abstract node
+            if name in env.alphabet.places or name in env.alphabet.transitions:
+                kind = env.alphabet.kind_of(name).value
+                raise DuplicateName(f"{name!r} is bound and is also a {kind} label", line)
         return env
 
     def parse_alphabet(self) -> Alphabet:

@@ -73,7 +73,7 @@ def _node_id(text, where: str) -> NodeId:
         if not sep or not inst or not name:
             raise ParseError(f"{where}: malformed node id {text!r}")
         atoms.append(AtomicNodeId(inst, name))
-    return NodeId(frozenset(atoms))
+    return NodeId(atoms)
 
 
 def loads(text: str) -> Module:

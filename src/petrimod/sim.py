@@ -19,9 +19,10 @@ from __future__ import annotations
 
 import operator
 from array import array
+from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import compress, pairwise
 from typing import Callable, Iterator, Mapping, NamedTuple
 
 from .core import NodeId
@@ -67,25 +68,31 @@ def fire(n: NetView, m: Mapping[NodeId, int], t: NodeId) -> Marking:
 
 
 class _Arcs(Sequence):
-    """Read-only `(src, transition, dst)` triples over three int columns."""
+    """Read-only `(src, transition, dst)` triples over two int columns.
 
-    __slots__ = ("_src", "_tid", "_dst", "_transitions")
+    The sweep finds arcs in source order, so state s's arcs are the rows
+    `first[s]` up to `first[s + 1]`; a row finds its source by bisection.
+    """
 
-    def __init__(self, src: array, tid: array, dst: array, transitions: tuple[NodeId, ...]):
-        self._src, self._tid, self._dst, self._transitions = src, tid, dst, transitions
+    __slots__ = ("_first", "_tid", "_dst", "_transitions")
+
+    def __init__(self, first: array, tid: array, dst: array, transitions: tuple[NodeId, ...]):
+        self._first, self._tid, self._dst, self._transitions = first, tid, dst, transitions
 
     def __len__(self) -> int:
-        return len(self._src)
+        return len(self._tid)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return tuple(self[j] for j in range(*i.indices(len(self))))
-        return self._src[i], self._transitions[self._tid[i]], self._dst[i]
+            return tuple(self[j] for j in range(len(self))[i])
+        i = range(len(self))[i]
+        return bisect_right(self._first, i) - 1, self._transitions[self._tid[i]], self._dst[i]
 
     def __iter__(self) -> Iterator[tuple[int, NodeId, int]]:
-        ts = self._transitions
-        for s, t, d in zip(self._src, self._tid, self._dst):
-            yield s, ts[t], d
+        ts, tid, dst = self._transitions, self._tid, self._dst
+        for s, (lo, hi) in enumerate(pairwise(self._first)):
+            for t, d in zip(tid[lo:hi], dst[lo:hi]):
+                yield s, ts[t], d
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,7 +192,7 @@ def reachability(
     states = [start]
     seen = {start: 0}
     parent, via = array("i", [-1]), array("i", [-1])
-    src_col, tid_col, dst_col = array("i"), array("i"), array("i")
+    first, tid_col, dst_col = array("i", [0]), array("i"), array("i")
     truncated = False
 
     for head, m in enumerate(states):
@@ -206,11 +213,11 @@ def reachability(
                 states.append(succ)
                 parent.append(head)
                 via.append(tid)
-            src_col.append(head)
             tid_col.append(tid)
             dst_col.append(dst)
+        first.append(len(tid_col))
 
-    arcs = _Arcs(src_col, tid_col, dst_col, transitions)
+    arcs = _Arcs(first, tid_col, dst_col, transitions)
     return ReachGraph(places, arcs, truncated, transitions, width, states, parent, via)
 
 

@@ -1,8 +1,11 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import petrimod
 from petrimod import dumps, evaluate, fixture_path, loads, validate_pnml
 from petrimod.cli import main
 
@@ -217,6 +220,57 @@ def test_check_reports_broken_binding(abstract_file, capsys):
     out = capsys.readouterr().out
     assert "broken: ERROR" in out
     assert "lump: ok" in out
+
+
+@pytest.mark.parametrize("argv", [["check"], ["eval", "x"]], ids=["check", "eval"])
+def test_binding_named_like_a_label_is_usage_error(tmp_path, capsys, argv):
+    f = tmp_path / "clash.hkl"
+    f.write_text(
+        "alphabet { places: a; transitions: t; }\n"
+        "module m { place n label a; transition v label t; arc n -> v; left: v; right: v; }\n"
+        "a := m\n"
+        "x := abstr(a) . m\n",
+        encoding="utf-8",
+    )
+    assert main([argv[0], str(f), *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{f}: 'a' is bound and is also a place label (line 3)\n"
+
+
+# Runs in a fresh interpreter: every binding of both fixtures through eval,
+# factorize and a capped reach, and iso for every ordered pair of bindings.
+_EVERY_OUTPUT = """\
+import contextlib, io
+from petrimod import fixture_path, parse
+from petrimod.cli import main
+
+for fixture in ("philosophers.hkl", "production.hkl"):
+    path = fixture_path(fixture)
+    names = parse(path.read_text(encoding="utf-8")).names()
+    runs = [[cmd, name, *extra] for name in names
+            for cmd, *extra in (["eval"], ["factorize"], ["reach", "--max-markings", "500"])]
+    runs += [["iso", a, b] for a in names for b in names]
+    for cmd, *rest in runs:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+            code = main([cmd, str(path), *rest])
+        print(fixture, cmd, *rest, "->", code)
+        print(out.getvalue(), end="")
+"""
+
+
+def test_outputs_do_not_depend_on_the_hash_seed():
+    # string hashes, and so NodeId hashes and set order, are salted per process
+    src = str(Path(petrimod.__file__).resolve().parents[1])
+    outs = []
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-c", _EVERY_OUTPUT], env=env, capture_output=True,
+                              text=True, check=True)
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    assert outs[0].count("ISOMORPHIC\n") > 10 and "recomposition isomorphic to original: yes" in outs[0]
 
 
 def test_selftest_runs_all_laws(capsys):

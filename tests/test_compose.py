@@ -1,9 +1,11 @@
 import functools
+import operator
 import os
 import pickle
 import random
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -12,6 +14,7 @@ import pytest
 import petrimod
 
 from petrimod import (
+    AtomicNodeId,
     Kind,
     Module,
     Node,
@@ -27,7 +30,7 @@ from petrimod import (
     structural_equal,
     verify_well_formed,
 )
-from petrimod.errors import KindMismatch, NonDisjointOperands, PetrimodError
+from petrimod.errors import KindMismatch, MalformedModule, NonDisjointOperands, PetrimodError
 from petrimod.generate import random_module
 
 from conftest import module, node
@@ -92,11 +95,68 @@ def test_merged_ids_are_flat_atom_unions():
     assert merged[1] == NodeId.single("a", "g2").merge(NodeId.single("b", "g2"))
 
 
-def test_node_id_hash_is_the_dataclass_hash():
+def test_node_id_hash_is_its_atom_set_hash():
     a, b = NodeId.single("a", "g1"), NodeId.single("b", "g1")
     for nid in (a, b, a.merge(b)):
-        assert hash(nid) == hash((nid.atoms,))
+        assert hash(nid) == hash(frozenset(nid.atoms))
     assert hash(a.merge(b)) == hash(b.merge(a))
+
+
+def test_node_id_hashes_in_c():
+    # frozenset's own hash, computed once and cached: no Python frame per dict probe
+    assert NodeId.__hash__ is frozenset.__hash__
+    assert "_hash" not in NodeId.__slots__ and "__reduce__" not in vars(NodeId)
+
+
+def test_node_id_equals_only_node_ids():
+    a, b = NodeId.single("a", "g1"), NodeId.single("b", "g1")
+    ab = a.merge(b)
+    atoms = frozenset(ab.atoms)
+    assert ab == b.merge(a) and not ab != b.merge(a)
+    for other in (atoms, (atoms,), set(atoms)):
+        assert ab != other and not ab == other
+    assert atoms != ab and not atoms == ab and (atoms,) != ab
+    assert ab not in {atoms} and atoms not in {ab}
+
+
+def test_node_id_orders_by_key_only():
+    a, b = NodeId.single("a", "g1"), NodeId.single("b", "g1")
+    ab = a.merge(b)
+    assert sorted([b, ab, a]) == [a, ab, b]  # keys: (a:g1) < (a:g1, b:g1) < (b:g1)
+    assert a < ab and not a > ab and b > ab and max(a, b) == b
+    for op in (operator.le, operator.ge):
+        with pytest.raises(TypeError):
+            op(a, ab)  # not a subset test
+
+
+def test_node_id_pickles_keep_key_and_hash_afresh():
+    nid = NodeId.single("a", "g1").merge(NodeId.single("b", "g2"))
+    bare = NodeId(nid.atoms)
+    nid.key  # filled on one copy only
+    for fresh in (nid, bare):
+        back = pickle.loads(pickle.dumps(fresh))
+        assert type(back) is NodeId and back == nid and hash(back) == hash(nid)
+        assert back.key == nid.key == (("a", "g1"), ("b", "g2"))
+
+
+def test_node_id_needs_an_atom():
+    with pytest.raises(MalformedModule):
+        NodeId(frozenset())
+    with pytest.raises(MalformedModule):
+        NodeId(())
+
+
+def test_node_id_memory_is_bounded():
+    atoms = [AtomicNodeId("i1", f"n{k}") for k in range(100_000)]
+    tracemalloc.start()
+    try:
+        ids = [NodeId((atom,)) for atom in atoms]
+        for nid in ids:
+            nid.key
+        used = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert used / len(ids) < 384  # the id with its atom set, its key and a list slot
 
 
 def test_node_id_unpickles_with_the_receiving_process_hash():

@@ -153,6 +153,35 @@ def test_duplicate_names_rejected(source):
         parse(source)
 
 
+BINDING_IS_LABEL = (
+    "alphabet { places: a; transitions: t; }\n"
+    "module m { place n label a; transition v label t; arc n -> v; left: v; right: v; }\n"
+    "a := m\n"
+    "x := abstr(a) . m\n"
+)
+
+
+@pytest.mark.parametrize(
+    "source, line",
+    [
+        (BINDING_IS_LABEL, 3),
+        (HEADER + "s := E\n", 2),  # a transition label
+        ("module a { }\nalphabet { places: a; }\n", 1),  # a snippet name, alphabet declared later
+    ],
+)
+def test_binding_name_that_is_a_place_or_transition_label_rejected(source, line):
+    # abstr() labels the core node with the binding's name, as an abstract node
+    with pytest.raises(DuplicateName) as exc:
+        parse(source)
+    assert exc.value.line == line
+
+
+def test_binding_name_may_be_an_other_label():
+    env = parse("alphabet { places: a; other: box; }\nmodule box { place n label a; left: n; }\ny := abstr(box)\n")
+    y = evaluate(env, "y")
+    assert [y.label_of(nid) for nid in y.interior()] == ["box"]
+
+
 @pytest.mark.parametrize(
     "source",
     [

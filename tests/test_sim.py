@@ -259,6 +259,25 @@ def test_reachability_matches_the_reference_engine(max_markings, max_tokens):
         assert_same_graph(net, initial, max_markings=max_markings, max_tokens_per_place=max_tokens)
 
 
+def test_arc_rows_find_their_source_state(phil):
+    # the sweep keeps one arc offset per state, and states without arcs (dead
+    # ends, or cut by a cap) leave empty runs the lookup must skip
+    _, net = phil
+    rng = random.Random(5)
+    graphs = [reachability(net), reachability(net, max_markings=4)]
+    graphs += [reachability(random_net(rng, f"r{k}", max_transitions=4, max_places=4), max_markings=30)
+               for k in range(20)]
+    assert any(len({s for s, _, _ in g.arcs}) < len(g) for g in graphs)
+    for g in graphs:
+        rows = list(g.arcs)
+        assert [g.arcs[i] for i in range(len(rows))] == rows
+        assert [g.arcs[i] for i in range(-len(rows), 0)] == rows
+        assert g.arcs[::-1] == tuple(rows[::-1]) and g.arcs[len(rows):] == ()
+        for i in (len(rows), -len(rows) - 1):
+            with pytest.raises(IndexError):
+                g.arcs[i]
+
+
 def test_initial_marking_above_the_token_cap():
     # p starts at 20 over a cap of 16: every successor still holds more than
     # 16 on p, so the sweep stops at the root even though t only moves a

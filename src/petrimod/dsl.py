@@ -303,7 +303,11 @@ class _Parser:
                 marking = 0
                 if self.peek().kind == "ident" and self.peek().text == "marking":
                     self.next()
-                    marking = int(self.expect("number", "a token count").text)
+                    count = self.expect("number", "a token count")
+                    try:
+                        marking = int(count.text)
+                    except ValueError:  # longer than the interpreter's int-string limit
+                        raise DslSyntaxError(f"token count too long ({len(count.text)} digits)", count.line) from None
                     if tok.text != "place":
                         raise DslSyntaxError("only places can carry a marking", tok.line)
                 nodes.append(NodeDecl(kw_kind[tok.text], node_name.text, label.text, marking, tok.line))

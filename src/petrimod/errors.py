@@ -79,9 +79,8 @@ class SearchBudgetExceeded(PetrimodError):
 class DslError(PetrimodError):
     """Base for parser/evaluator errors; carries a source position."""
 
-    def __init__(self, msg, line=None, col=None):
+    def __init__(self, msg, line=None):
         self.line = line
-        self.col = col
         at = f" (line {line})" if line is not None else ""
         super().__init__(msg + at)
 

@@ -81,7 +81,7 @@ def loads(text: str) -> Module:
     and must agree, so a hand-edited dump cannot silently lie about them."""
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:  # also too deep, or an int past the int-string limit
         raise ParseError(f"not valid JSON: {e}") from None
     if not isinstance(data, dict):
         raise ParseError("dump must be a JSON object")
@@ -254,8 +254,8 @@ def ptnet_schema() -> Schema:
 def validate_pnml(text: str) -> None:
     """Schema check plus the two ID semantics RELAX NG leaves out:
     id uniqueness and arc endpoint resolution."""
-    ptnet_schema().validate_string(text)
     root = ET.fromstring(text)
+    ptnet_schema().validate(root)
     ids = [el.get("id") for el in root.iter() if el.get("id") is not None]
     dup = sorted(i for i, count in Counter(ids).items() if count > 1)
     if dup:

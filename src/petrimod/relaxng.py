@@ -6,6 +6,10 @@ empty, notAllowed, data, value, and the anyName name class.  Interleave,
 name-class except, list, and mixed are out of scope and rejected at load
 time, so a schema that parses here means exactly what this validator checks.
 
+References are compiled away at load, so recursion must pass through an
+element, as RELAX NG's simplification requires; documents are walked with an
+explicit stack, never by recursion on their depth.
+
 Datatypes are the xsd library subset used by the schema: string, token,
 NCName, ID, IDREF, anyURI, nonNegativeInteger, positiveInteger.  ID/IDREF
 get only their lexical check, as plain RELAX NG prescribes.
@@ -16,7 +20,6 @@ from __future__ import annotations
 import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
-from pathlib import Path
 
 __all__ = ["Schema", "ValidationError", "RELAXNG_NS"]
 
@@ -38,9 +41,6 @@ class AnyName:
     def contains(self, qn: tuple[str, str]) -> bool:
         return True
 
-    def __str__(self) -> str:
-        return "*"
-
 
 @dataclass(frozen=True)
 class Name:
@@ -49,9 +49,6 @@ class Name:
 
     def contains(self, qn: tuple[str, str]) -> bool:
         return qn == (self.ns, self.local)
-
-    def __str__(self) -> str:
-        return self.local if not self.ns else f"{{{self.ns}}}{self.local}"
 
 
 # -- patterns -------------------------------------------------------------------
@@ -92,8 +89,10 @@ class OneOrMore(Pattern):
     p: Pattern
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class ElementP(Pattern):
+    # one object per element pattern, compared by identity, so equality never
+    # follows a recursive grammar's cycle; p is set once the grammar is read
     nc: AnyName | Name
     p: Pattern
 
@@ -120,25 +119,9 @@ class After(Pattern):
     p2: Pattern
 
 
-@dataclass(eq=False)
-class RefP(Pattern):
-    # eq=False keeps identity semantics, which breaks equality cycles in
-    # recursive grammars (any-content refers to itself through an element)
-    name: str
-    target: Pattern | None = None
-
-
 _EMPTY = Empty()
 _NOT_ALLOWED = NotAllowed()
 _TEXT = Text()
-
-
-def deref(p: Pattern) -> Pattern:
-    while isinstance(p, RefP):
-        if p.target is None:
-            raise SchemaError(f"dangling ref {p.name!r}")
-        p = p.target
-    return p
 
 
 # smart constructors keep the derivative small
@@ -178,7 +161,6 @@ def one_or_more(p: Pattern) -> Pattern:
 # -- derivative core ------------------------------------------------------------
 
 def nullable(p: Pattern) -> bool:
-    p = deref(p)
     if isinstance(p, (Empty, Text)):
         return True
     if isinstance(p, Group):
@@ -191,7 +173,6 @@ def nullable(p: Pattern) -> bool:
 
 
 def apply_after(f, p: Pattern) -> Pattern:
-    p = deref(p)
     if isinstance(p, After):
         return after(p.p1, f(p.p2))
     if isinstance(p, Choice):
@@ -202,7 +183,6 @@ def apply_after(f, p: Pattern) -> Pattern:
 
 
 def start_tag_open_deriv(p: Pattern, qn: tuple[str, str]) -> Pattern:
-    p = deref(p)
     if isinstance(p, Choice):
         return choice(start_tag_open_deriv(p.p1, qn), start_tag_open_deriv(p.p2, qn))
     if isinstance(p, ElementP):
@@ -219,7 +199,6 @@ def start_tag_open_deriv(p: Pattern, qn: tuple[str, str]) -> Pattern:
 
 
 def att_deriv(p: Pattern, qn: tuple[str, str], value: str) -> Pattern:
-    p = deref(p)
     if isinstance(p, After):
         return after(att_deriv(p.p1, qn, value), p.p2)
     if isinstance(p, Choice):
@@ -243,7 +222,6 @@ def _value_match(p: Pattern, s: str) -> bool:
 
 
 def start_tag_close_deriv(p: Pattern) -> Pattern:
-    p = deref(p)
     if isinstance(p, After):
         return after(start_tag_close_deriv(p.p1), p.p2)
     if isinstance(p, Choice):
@@ -258,7 +236,6 @@ def start_tag_close_deriv(p: Pattern) -> Pattern:
 
 
 def text_deriv(p: Pattern, s: str) -> Pattern:
-    p = deref(p)
     if isinstance(p, Choice):
         return choice(text_deriv(p.p1, s), text_deriv(p.p2, s))
     if isinstance(p, After):
@@ -271,14 +248,13 @@ def text_deriv(p: Pattern, s: str) -> Pattern:
     if isinstance(p, Text):
         return p
     if isinstance(p, Data):
-        return _EMPTY if _datatype_allows(p.type, s) else _NOT_ALLOWED
+        return _EMPTY if _DATATYPES[p.type](s) else _NOT_ALLOWED
     if isinstance(p, Value):
         return _EMPTY if _collapse(s) == _collapse(p.value) else _NOT_ALLOWED
     return _NOT_ALLOWED
 
 
 def end_tag_deriv(p: Pattern) -> Pattern:
-    p = deref(p)
     if isinstance(p, Choice):
         return choice(end_tag_deriv(p.p1), end_tag_deriv(p.p2))
     if isinstance(p, After):
@@ -303,10 +279,6 @@ _DATATYPES = {
 }
 
 
-def _datatype_allows(type_name: str, s: str) -> bool:
-    return _DATATYPES[type_name](s)
-
-
 def _is_ws(s: str) -> bool:
     return s.strip() == ""
 
@@ -324,48 +296,47 @@ def _qname(tag: str) -> tuple[str, str]:
     return "", tag
 
 
-def _check(p: Pattern, what: str, path: str) -> Pattern:
-    if isinstance(deref(p), NotAllowed):
-        raise ValidationError(f"{path}: {what}")
+def _check(p: Pattern, what: str, names: list[str]) -> Pattern:
+    if isinstance(p, NotAllowed):
+        raise ValidationError(f"/{'/'.join(names)}: {what}")
     return p
 
 
-def _element_deriv(p: Pattern, elem: ET.Element, path: str) -> Pattern:
-    qn = _qname(elem.tag)
-    here = f"{path}/{qn[1]}"
-    p = _check(start_tag_open_deriv(p, qn), f"element {qn[1]!r} not allowed here", path or "/")
-    for key, value in elem.items():
-        p = _check(
-            att_deriv(p, _qname(key), value),
-            f"attribute {key}={value!r} not allowed",
-            here,
-        )
-    p = _check(start_tag_close_deriv(p), "required attribute missing", here)
+def _walk(p: Pattern, root: ET.Element) -> Pattern:
+    """Derive p by a whole document, one start tag, text or end tag at a time.
 
-    children: list[tuple[str, object]] = []
-    if elem.text:
-        children.append(("text", elem.text))
-    for child in elem:
-        children.append(("elem", child))
-        if child.tail:
-            children.append(("text", child.tail))
-
-    if len(children) == 1 and children[0][0] == "text":
-        s = children[0][1]
-        d = text_deriv(p, s)
-        p = choice(d, p) if _is_ws(s) else _check(d, f"text {s!r} not allowed", here)
-    elif not children:
-        p = choice(text_deriv(p, ""), p)
-    else:
-        # mixed content: whitespace between child elements is insignificant
-        for kind, payload in children:
-            if kind == "text":
-                if not _is_ws(payload):
-                    p = _check(text_deriv(p, payload), f"text {payload!r} not allowed", here)
+    The stack holds what is left to visit, next item last: an element,
+    non-whitespace text, or an element's end (None).  The After patterns hold
+    what follows each open element, so nothing recurses on document depth.
+    """
+    names: list[str] = []  # the open elements, outermost first
+    stack: list[ET.Element | str | None] = [root]
+    while stack:
+        item = stack.pop()
+        if item is None:
+            p = _check(end_tag_deriv(p), "content incomplete", names)
+            names.pop()
+        elif isinstance(item, str):
+            p = _check(text_deriv(p, item), f"text {item!r} not allowed", names)
+        else:
+            qn = _qname(item.tag)
+            p = _check(start_tag_open_deriv(p, qn), f"element {qn[1]!r} not allowed here", names)
+            names.append(qn[1])
+            for key, value in item.items():
+                p = _check(att_deriv(p, _qname(key), value), f"attribute {key}={value!r} not allowed", names)
+            p = _check(start_tag_close_deriv(p), "required attribute missing", names)
+            stack.append(None)
+            if len(item):
+                # mixed content: whitespace between child elements is insignificant
+                seq: list = [item.text]
+                for child in item:
+                    seq += (child, child.tail)
+                stack += [x for x in reversed(seq) if isinstance(x, ET.Element) or (x and not _is_ws(x))]
             else:
-                p = _element_deriv(p, payload, here)
-
-    return _check(end_tag_deriv(p), "content incomplete", here)
+                s = item.text or ""
+                d = text_deriv(p, s)
+                p = choice(d, p) if _is_ws(s) else _check(d, f"text {s!r} not allowed", names)
+    return p
 
 
 # -- schema loading ----------------------------------------------------------------
@@ -389,9 +360,8 @@ class Schema:
         if _qname(root.tag) != (RELAXNG_NS, "grammar"):
             raise SchemaError("top element must be a RELAX NG grammar")
         default_ns = root.get("ns", "")
-        refs: dict[str, RefP] = {}
         start_el = None
-        defines: list[ET.Element] = []
+        defines: dict[str, ET.Element] = {}
         for child in root:
             ns, local = _qname(child.tag)
             if ns != RELAXNG_NS:
@@ -399,42 +369,54 @@ class Schema:
             if local == "start":
                 start_el = child
             elif local == "define":
-                defines.append(child)
-                refs[child.get("name")] = RefP(child.get("name"))
+                if child.get("name") in defines:
+                    raise SchemaError(f"pattern {child.get('name')!r} defined twice")
+                defines[child.get("name")] = child
             else:
                 raise SchemaError(f"unsupported grammar child {local!r}")
         if start_el is None:
             raise SchemaError("grammar has no start")
-        for d in defines:
-            refs[d.get("name")].target = _compile_seq(list(d), refs, default_ns)
-        start = _compile_seq(list(start_el), refs, default_ns)
-        for ref in refs.values():
-            deref(ref)
+        # define elements, compiled defines (None while compiling), and
+        # element patterns whose content is still to compile
+        ctx = (defines, {}, [], default_ns)
+        start = _compile_seq(list(start_el), ctx, default_ns)
+        for name in defines:
+            _ref(name, ctx)
+        pending = ctx[2]
+        while pending:
+            elem, children, ns = pending.pop()
+            elem.p = _compile_seq(children, ctx, ns)
         return cls(start)
 
-    @classmethod
-    def from_file(cls, path) -> "Schema":
-        return cls.from_string(Path(path).read_text(encoding="utf-8"))
-
     def validate(self, root: ET.Element) -> None:
-        final = _element_deriv(self.start, root, "")
-        if not nullable(final):
+        if not nullable(_walk(self.start, root)):
             raise ValidationError("/: document incomplete")
 
     def validate_string(self, text: str) -> None:
         self.validate(ET.fromstring(text))
 
 
-def _compile_seq(elems: list[ET.Element], refs: dict, ns: str) -> Pattern:
-    parts = [_compile(e, refs, ns) for e in elems if _qname(e.tag)[0] == RELAXNG_NS]
-    parts = [p for p in parts if p is not None]
+def _ref(name: str, ctx: tuple) -> Pattern:
+    defines, compiled, _, default_ns = ctx
+    if name not in defines:
+        raise SchemaError(f"ref to undefined pattern {name!r}")
+    if name not in compiled:
+        compiled[name] = None  # reached again before this returns: recursion outside an element
+        compiled[name] = _compile_seq(list(defines[name]), ctx, default_ns)
+    elif compiled[name] is None:
+        raise SchemaError(f"pattern {name!r} refers to itself outside an element")
+    return compiled[name]
+
+
+def _compile_seq(elems: list[ET.Element], ctx: tuple, ns: str) -> Pattern:
     out: Pattern = _EMPTY
-    for part in parts:
-        out = group(out, part)
+    for e in elems:
+        if _qname(e.tag)[0] == RELAXNG_NS:
+            out = group(out, _compile(e, ctx, ns))
     return out
 
 
-def _name_class(el: ET.Element, refs: dict, ns: str):
+def _name_class(el: ET.Element, ns: str):
     """Pull the name class out of an element/attribute pattern definition.
 
     Returns (name class, remaining child patterns).
@@ -452,36 +434,35 @@ def _name_class(el: ET.Element, refs: dict, ns: str):
     raise SchemaError(f"{_qname(el.tag)[1]} pattern without a name class")
 
 
-def _compile(el: ET.Element, refs: dict, ns: str) -> Pattern | None:
+def _compile(el: ET.Element, ctx: tuple, ns: str) -> Pattern:
     local = _qname(el.tag)[1]
     if local not in _SUPPORTED:
         raise SchemaError(f"unsupported RELAX NG construct {local!r}")
     if local == "element":
-        nc, children = _name_class(el, refs, el.get("ns", ns))
-        return ElementP(nc, _compile_seq(children, refs, el.get("ns", ns)))
+        ns = el.get("ns", ns)
+        nc, children = _name_class(el, ns)
+        elem = ElementP(nc, _NOT_ALLOWED)
+        ctx[2].append((elem, children, ns))  # content compiled after the whole grammar
+        return elem
     if local == "attribute":
         # RELAX NG: the inherited ns does not apply to attribute names
-        explicit = el.get("name")
-        if explicit is not None:
-            nc, children = Name(el.get("ns", ""), explicit), list(el)
-        else:
-            nc, children = _name_class(el, refs, "")
-        content = _compile_seq([c for c in children if _qname(c.tag)[0] == RELAXNG_NS], refs, ns)
+        nc, children = _name_class(el, "")
+        content = _compile_seq(children, ctx, ns)
         return AttributeP(nc, _TEXT if isinstance(content, Empty) else content)
     if local == "group":
-        return _compile_seq(list(el), refs, ns)
+        return _compile_seq(list(el), ctx, ns)
     if local == "choice":
-        parts = [_compile(c, refs, ns) for c in el if _qname(c.tag)[0] == RELAXNG_NS]
+        parts = [_compile(c, ctx, ns) for c in el if _qname(c.tag)[0] == RELAXNG_NS]
         out = parts[0]
         for part in parts[1:]:
             out = choice(out, part)
         return out
     if local == "optional":
-        return choice(_compile_seq(list(el), refs, ns), _EMPTY)
+        return choice(_compile_seq(list(el), ctx, ns), _EMPTY)
     if local == "zeroOrMore":
-        return choice(OneOrMore(_compile_seq(list(el), refs, ns)), _EMPTY)
+        return choice(OneOrMore(_compile_seq(list(el), ctx, ns)), _EMPTY)
     if local == "oneOrMore":
-        return OneOrMore(_compile_seq(list(el), refs, ns))
+        return OneOrMore(_compile_seq(list(el), ctx, ns))
     if local == "text":
         return _TEXT
     if local == "empty":
@@ -498,10 +479,7 @@ def _compile(el: ET.Element, refs: dict, ns: str) -> Pattern | None:
     if local == "value":
         return Value(el.text or "")
     if local == "ref":
-        name = el.get("name")
-        if name not in refs:
-            raise SchemaError(f"ref to undefined pattern {name!r}")
-        return refs[name]
+        return _ref(el.get("name"), ctx)
     if local in ("anyName", "name"):
         raise SchemaError(f"{local} outside element/attribute")
     raise AssertionError(local)

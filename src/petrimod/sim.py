@@ -134,9 +134,6 @@ class ReachGraph:
         counts = self._counts(i)
         return dict(zip(compress(self.places, counts), filter(None, counts)))
 
-    def markings(self) -> list[Marking]:
-        return [self.marking(i) for i in range(len(self._states))]
-
     def path_to(self, i: int) -> tuple[NodeId, ...]:
         """Transitions of one shortest firing sequence from state 0 to state i."""
         # a state's parent found it from the BFS layer before its own

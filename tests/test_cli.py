@@ -222,6 +222,17 @@ def test_check_reports_broken_binding(abstract_file, capsys):
     assert "lump: ok" in out
 
 
+@pytest.mark.parametrize("argv", [["check"], ["eval", "m"]], ids=["check", "eval"])
+def test_overlong_token_count_is_usage_error(tmp_path, capsys, argv):
+    f = tmp_path / "huge.hkl"
+    f.write_text("alphabet { places: a; }\nmodule m { place n label a marking " + "9" * 5000 + "; }\n",
+                 encoding="utf-8")
+    assert main([argv[0], str(f), *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{f}: token count too long (5000 digits) (line 2)\n"
+
+
 @pytest.mark.parametrize("argv", [["check"], ["eval", "x"]], ids=["check", "eval"])
 def test_binding_named_like_a_label_is_usage_error(tmp_path, capsys, argv):
     f = tmp_path / "clash.hkl"

@@ -216,6 +216,12 @@ def test_syntax_errors(source):
         parse(source)
 
 
+def test_token_count_past_the_int_string_limit_is_a_syntax_error():
+    source = HEADER + "module d {\n  place n label a marking " + "9" * 5000 + ";\n}\n"
+    with pytest.raises(DslSyntaxError, match=r"token count too long \(5000 digits\) \(line 3\)"):
+        parse(source)
+
+
 def test_empty_interface_side_is_allowed():
     env = parse(HEADER + "module d { place n label a; left: ; right: n; }")
     m = evaluate(env, "d")

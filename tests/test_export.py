@@ -56,6 +56,11 @@ def test_loads_rejects_malformed_input(phil_env, mangle):
         loads(mangle(data))
 
 
+def test_loads_rejects_nesting_too_deep_for_the_json_parser():
+    with pytest.raises(ParseError, match="not valid JSON"):
+        loads("[" * 100_000)
+
+
 def _fork_dump_with(phil_env, change):
     data = to_dict(evaluate(phil_env, "fork"))
     change(data, next(n for n in data["nodes"] if n["kind"] == "place"))
@@ -66,6 +71,13 @@ def _fork_dump_with(phil_env, change):
 def test_loads_rejects_token_count_not_a_natural(phil_env, tokens):
     with pytest.raises(ParseError, match="tokens"):
         loads(_fork_dump_with(phil_env, lambda data, place: place.update(tokens=tokens)))
+
+
+def test_loads_rejects_token_count_past_the_int_string_limit(phil_env):
+    text = _fork_dump_with(phil_env, lambda data, place: place.update(tokens=0)).replace(
+        '"tokens": 0', '"tokens": ' + "9" * 5000, 1)
+    with pytest.raises(ParseError, match="not valid JSON"):
+        loads(text)
 
 
 @pytest.mark.parametrize("label", [7, None, ["available"]])

@@ -31,7 +31,7 @@ from .export import dumps, to_dot, to_pnml
 from .iso import IsoOptions, isomorphic
 from .laws import LAWS
 from .nets import NetView, factorize, validate_net
-from .sim import check_invariant, reachability
+from .sim import MAX_MARKINGS, MAX_TOKENS_PER_PLACE, check_invariant, reachability
 
 DEFAULT_SEED = 1105
 
@@ -163,7 +163,11 @@ def _compile_invariant(text: str, module: Module, view: NetView):
         m = _CLAUSE.match(part.strip())
         if not m:
             raise _Failure(2, f"bad invariant clause: {part.strip()!r}")
-        agg, label, op, num = m.group(1), m.group(2), m.group(3), int(m.group(4))
+        agg, label, op, num = m.groups()
+        try:
+            num = int(num)
+        except ValueError:  # longer than the interpreter's int-string limit
+            raise _Failure(2, f"invariant bound too long ({len(num)} digits)") from None
         if label not in by_label:
             raise _Failure(2, f"invariant names unknown place label {label!r}")
         clauses.append((agg, by_label[label], _OPS[op], num))
@@ -294,8 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reach", help="breadth-first reachability over the token game")
     p.add_argument("file")
     p.add_argument("name")
-    p.add_argument("--max-markings", type=int, default=1_000_000)
-    p.add_argument("--max-tokens", type=int, default=16,
+    p.add_argument("--max-markings", type=int, default=MAX_MARKINGS)
+    p.add_argument("--max-tokens", type=int, default=MAX_TOKENS_PER_PLACE,
                    help="per-place token cap before truncating")
     p.add_argument("--invariant", default=None,
                    help="e.g. \"sum(eating) <= 2 and max(available) <= 1\"")

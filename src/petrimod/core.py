@@ -18,9 +18,10 @@ from __future__ import annotations
 
 import hashlib
 import re
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from operator import attrgetter
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import (
@@ -235,26 +236,11 @@ class HarmonicPair:
     index: int
 
 
-def _slots_by_label(slots: Iterable, label_of: Callable) -> dict[str, list]:
-    by: dict[str, list] = {}
-    for slot in slots:
-        by.setdefault(label_of(slot), []).append(slot)
-    return by
-
-
-def _pair_slots(xs: Iterable, ys: Iterable, label_of: Callable) -> list[tuple]:
+def _pair_slots(xs: Interface, ys: Interface, label_of: Callable) -> list[tuple]:
     """The pairing rule: (label, index, x, y) for every slot x of `xs` and y
-    of `ys` with equal label and equal per-label index, sorted by (label, index).
-
-    Per-label indices count 1..n in slot order, so for each label the pairs
-    are the first min(|xs_l|, |ys_l|) slots of each side zipped together.
-    """
-    by_y = _slots_by_label(ys, label_of)
-    pairs = []
-    for label, xl in _slots_by_label(xs, label_of).items():
-        pairs += ((label, i, x, y) for i, (x, y) in enumerate(zip(xl, by_y.get(label, ())), start=1))
-    pairs.sort(key=lambda p: p[:2])
-    return pairs
+    of `ys` with equal label and equal per-label index, sorted by (label, index)."""
+    by_key = {(label, i): y for y, label, i in ys.indexed(label_of)}
+    return sorted((label, i, x, by_key[label, i]) for x, label, i in xs.indexed(label_of) if (label, i) in by_key)
 
 
 def harmonic_pairs(
@@ -435,33 +421,41 @@ def compose(*parts: Module) -> Module:
     Composition is total: without any harmonic pair it degrades to a
     disjoint union with concatenated interfaces.  No parts give the empty
     module.  Only the interfaces are folded and the result is built once;
-    errors come in the fold's order.
+    errors come in the fold's order.  The chain's right slots are kept in
+    one deque per label, index 1 first, so a step costs the size of its part.
     """
     atoms: set[AtomicNodeId] = set()
     cls: dict[NodeId, NodeId] = {}  # merged node -> first member of its class
-    left: list[Node] = []
-    right: list[Node] = []
+    chain: dict[str, deque[Node]] = {}  # the chain's right slots by label, in slot order
+    paired_left: set[NodeId] = set()
+    paired_right: set[NodeId] = set()
     for k, part in enumerate(parts):
-        part_left = [part.nodes[nid] for nid in part.left]
+        pairs = []
         try:
             shared = atoms.intersection(part.atom_set)
             if shared:
                 raise NonDisjointOperands(shared)
-            pairs = _pair_slots(right, part_left, attrgetter("label")) if right else []
-            for label, i, x, y in pairs:
-                if x.kind is not y.kind:
-                    raise KindMismatch(f"pair {label!r}@{i} merges {x.kind.value} with {y.kind.value}")
+            for nid, label, i in sorted(part.left.indexed(part.label_of), key=itemgetter(1, 2)):
+                if chain.get(label):  # entry i of the label's deque, at the front once 1..i-1 are popped
+                    x, y = chain[label].popleft(), part.nodes[nid]
+                    if x.kind is not y.kind:
+                        raise KindMismatch(f"pair {label!r}@{i} merges {x.kind.value} with {y.kind.value}")
+                    pairs.append((x.id, y.id))
         except (NonDisjointOperands, KindMismatch):
             # the binary fold would have built, and so checked, the chain so far
             _glue(parts[:k], cls, (), ())
             raise
         atoms |= part.atom_set
-        for _, _, x, y in pairs:
-            cls[y.id] = cls.setdefault(x.id, x.id)
-        paired = {node.id for pair in pairs for node in pair[2:]}
-        left += (node for node in part_left if node.id not in paired)
-        right = [part.nodes[nid] for nid in part.right] + [node for node in right if node.id not in paired]
-    return _glue(parts, cls, [node.id for node in left], [node.id for node in right])
+        for x, y in pairs:
+            cls[y] = cls.setdefault(x, x)
+            paired_right.add(x)
+            paired_left.add(y)
+        for nid in reversed(part.right.slots):
+            node = part.nodes[nid]
+            chain.setdefault(node.label, deque()).appendleft(node)
+    left = [nid for part in parts for nid in part.left if nid not in paired_left]
+    right = [nid for part in reversed(parts) for nid in part.right if nid not in paired_right]
+    return _glue(parts, cls, left, right)
 
 
 def closure(a: Module) -> Module:

@@ -36,6 +36,7 @@ DUMP_FORMAT = "petrimod-dump/1"
 PNML_NS = "http://www.pnml.org/version-2009/grammar/pnml"
 PTNET_TYPE = "http://www.pnml.org/version-2009/grammar/ptnet"
 IDMAP_NS = "urn:petrimod:idmap"
+NET_ID = "net1"  # the one net of every document
 
 
 # -- canonical JSON ------------------------------------------------------------
@@ -204,7 +205,7 @@ def _text_child(parent: ET.Element, tag: str, text: str):
     ET.SubElement(holder, "text").text = text
 
 
-def to_pnml(a: Module, *, net_id: str = "net1") -> str:
+def to_pnml(a: Module) -> str:
     """Place/transition net XML.  Interfaces have no PNML counterpart and are
     dropped; the toolspecific block maps sanitized ids back to node ids."""
     try:
@@ -217,7 +218,7 @@ def to_pnml(a: Module, *, net_id: str = "net1") -> str:
     ids = {nid: _pnml_id(nid) for nid in places + transitions}
 
     root = ET.Element("pnml", {"xmlns": PNML_NS})
-    net = ET.SubElement(root, "net", {"id": net_id, "type": PTNET_TYPE})
+    net = ET.SubElement(root, "net", {"id": NET_ID, "type": PTNET_TYPE})
     if a.name:
         _text_child(net, "name", a.name)
     tool = ET.SubElement(net, "toolspecific", {"tool": "petrimod", "version": "1"})

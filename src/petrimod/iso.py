@@ -29,14 +29,6 @@ class IsoWitness:
     mapping: tuple[tuple[NodeId, NodeId], ...]
     label_renaming: tuple[tuple[str, str], ...] = ()
 
-    @property
-    def as_dict(self) -> dict[NodeId, NodeId]:
-        return dict(self.mapping)
-
-    @property
-    def renaming(self) -> dict[str, str]:
-        return dict(self.label_renaming)
-
 
 def structural_equal(a: Module, b: Module) -> bool:
     """Exact coincidence of nodes, edges, interfaces, labels, kinds and markings.
@@ -311,7 +303,7 @@ def isomorphic(
 def verify_witness(a: Module, b: Module, witness: IsoWitness, options: IsoOptions | None = None) -> bool:
     """Replay a witness slot-by-slot and edge-by-edge against both modules."""
     opts = options or IsoOptions()
-    mapping = witness.as_dict
+    mapping = dict(witness.mapping)
 
     if set(mapping) != set(a.nodes) or set(mapping.values()) != set(b.nodes):
         return False

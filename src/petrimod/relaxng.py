@@ -430,7 +430,10 @@ def _name_class(el: ET.Element, ns: str):
             raise SchemaError("anyName with except is unsupported")
         return AnyName(), children[1:]
     if children and _qname(children[0].tag)[1] == "name":
-        return Name(children[0].get("ns", ns), children[0].text.strip()), children[1:]
+        name = (children[0].text or "").strip()
+        if not name:
+            raise SchemaError(f"{_qname(el.tag)[1]} pattern with an empty name")
+        return Name(children[0].get("ns", ns), name), children[1:]
     raise SchemaError(f"{_qname(el.tag)[1]} pattern without a name class")
 
 
@@ -453,6 +456,8 @@ def _compile(el: ET.Element, ctx: tuple, ns: str) -> Pattern:
         return _compile_seq(list(el), ctx, ns)
     if local == "choice":
         parts = [_compile(c, ctx, ns) for c in el if _qname(c.tag)[0] == RELAXNG_NS]
+        if not parts:
+            raise SchemaError("choice without a pattern")
         out = parts[0]
         for part in parts[1:]:
             out = choice(out, part)

@@ -162,6 +162,12 @@ def test_reach_invariant_usage_errors(capsys):
     assert main(["reach", PHIL, "phils_in_a_cycle", "--invariant", "sum(nowhere) < 1"]) == 2
 
 
+def test_overlong_invariant_bound_is_usage_error(capsys):
+    argv = ["reach", PHIL, "phils_in_a_cycle", "--invariant", "sum(eating) <= " + "9" * 5000]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "invariant bound too long (5000 digits)\n"
+
+
 def test_reach_truncation_flag(capsys):
     assert main(["reach", PHIL, "phils_in_a_cycle", "--max-markings", "3"]) == 0
     assert "truncated: yes" in capsys.readouterr().out

@@ -28,6 +28,8 @@ from petrimod import (
     is_monolithic,
     parse,
     structural_equal,
+    transition_atom,
+    validate_net,
     verify_well_formed,
 )
 from petrimod.errors import KindMismatch, MalformedModule, NonDisjointOperands, PetrimodError
@@ -369,3 +371,35 @@ def test_a_composition_chain_is_checked_in_linear_work(monkeypatch):
     long = _problem_nodes_for_a_row(monkeypatch, src, 200)
     # a fold that rebuilds the chain at every step checks ~N^2/2 nodes: ratio ~4
     assert long / short < 2.5, (short, long)
+
+
+def _core_lines_composing_ring_atoms(src, n):
+    """Line events inside core.py while `compose` glues the transition atoms
+    of the n-philosopher ring back together, as `factorize` does."""
+    env = parse(src + "\nring := (" + " . ".join(["phil_with_forks"] * n) + ")^c\n")
+    view = validate_net(evaluate(env, "ring"))
+    atoms = [transition_atom(view, t).retagged(f"f{i}") for i, t in enumerate(sorted(view.transitions), 1)]
+    count = 0
+
+    def tracer(frame, event, arg):
+        nonlocal count
+        if frame.f_code.co_filename != core.__file__:
+            return None
+        count += event == "line"
+        return tracer
+
+    outer = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        compose(*atoms)
+    finally:
+        sys.settrace(outer)
+    return count
+
+
+def test_composing_ring_atoms_is_linear_work():
+    src = fixture_path("philosophers.hkl").read_text(encoding="utf-8")
+    short = _core_lines_composing_ring_atoms(src, 100)
+    long = _core_lines_composing_ring_atoms(src, 200)
+    # regrouping the chain's whole right interface at every step gives ~3.7
+    assert long / short <= 2.2, (short, long)

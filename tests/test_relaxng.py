@@ -203,6 +203,16 @@ def test_recursion_outside_an_element_is_refused(body):
     assert proc.stdout == "SchemaError: pattern 'a' refers to itself outside an element\n", proc.stderr
 
 
+@pytest.mark.parametrize("body, message", [
+    ("<element name='e'><choice/></element>", "choice without a pattern"),
+    ("<element><name/><empty/></element>", "element pattern with an empty name"),
+    ("<element name='e'><attribute><name/></attribute></element>", "attribute pattern with an empty name"),
+], ids=["empty-choice", "element-empty-name", "attribute-empty-name"])
+def test_malformed_schema_raises_schema_error(body, message):
+    with pytest.raises(SchemaError, match=f"^{message}$"):
+        schema(body)
+
+
 def test_unused_define_is_still_compiled():
     with pytest.raises(SchemaError, match="interleave"):
         Schema.from_string(

@@ -186,14 +186,15 @@ def _compile_invariant(text: str, module: Module, view: NetView):
 def _cmd_reach(args) -> int:
     module = _evaluate(_load(args.file), args.name)
     view = _as_net(module, args.name)
+    # compiled first: a usage error costs no sweep and prints nothing on stdout
+    pred = None if args.invariant is None else _compile_invariant(args.invariant, module, view)
     graph = reachability(view, max_markings=args.max_markings,
                          max_tokens_per_place=args.max_tokens)
     print(f"markings: {len(graph)}")
     print(f"arcs: {len(graph.arcs)}")
     print(f"truncated: {'yes' if graph.truncated else 'no'}")
-    if args.invariant is None:
+    if pred is None:
         return 0
-    pred = _compile_invariant(args.invariant, module, view)
     hit = check_invariant(graph, pred)
     if hit is None:
         note = " (truncated sweep, result is partial)" if graph.truncated else ""

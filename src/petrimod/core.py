@@ -93,7 +93,7 @@ class Alphabet:
 _ATOM_FIELD = re.compile(r"[^\s:+]+\Z")
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class AtomicNodeId:
     """Indivisible unit of node identity, minted once per instantiation."""
 

@@ -10,6 +10,13 @@ References are compiled away at load, so recursion must pass through an
 element, as RELAX NG's simplification requires; documents are walked with an
 explicit stack, never by recursion on their depth.
 
+Patterns are hash-consed and derivatives memoised, after Clark, "An algorithm
+for RELAX NG validation" (2002): equal patterns are one object, and each
+derivative is taken once per schema state.  An attribute value or a text
+enters a memo key only as the set of data, value and attribute leaves that
+accept it, so the tables grow with the states a schema meets, not with the
+number of documents or of elements it validates.
+
 Datatypes are the xsd library subset used by the schema: string, token,
 NCName, ID, IDREF, anyURI, nonNegativeInteger, positiveInteger.  ID/IDREF
 get only their lexical check, as plain RELAX NG prescribes.
@@ -19,6 +26,7 @@ from __future__ import annotations
 
 import re
 import xml.etree.ElementTree as ET
+from collections import defaultdict
 from dataclasses import dataclass
 
 __all__ = ["Schema", "ValidationError", "RELAXNG_NS"]
@@ -57,63 +65,66 @@ class Pattern:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+# Every pattern compares by identity.  An ElementP is the one object for its
+# element pattern, so equality never follows a recursive grammar's cycle; all
+# others are hash-consed by their schema (Schema._make): equal means identical.
+
+@dataclass(frozen=True, eq=False)
 class Empty(Pattern):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NotAllowed(Pattern):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Text(Pattern):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Choice(Pattern):
     p1: Pattern
     p2: Pattern
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Group(Pattern):
     p1: Pattern
     p2: Pattern
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OneOrMore(Pattern):
     p: Pattern
 
 
 @dataclass(eq=False)
 class ElementP(Pattern):
-    # one object per element pattern, compared by identity, so equality never
-    # follows a recursive grammar's cycle; p is set once the grammar is read
+    # p is set once the grammar is read
     nc: AnyName | Name
     p: Pattern
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AttributeP(Pattern):
     nc: AnyName | Name
     p: Pattern
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Data(Pattern):
     type: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Value(Pattern):
     value: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class After(Pattern):
     p1: Pattern
     p2: Pattern
@@ -122,150 +133,26 @@ class After(Pattern):
 _EMPTY = Empty()
 _NOT_ALLOWED = NotAllowed()
 _TEXT = Text()
+_MISS = object()
 
 
-# smart constructors keep the derivative small
-
-def choice(p1: Pattern, p2: Pattern) -> Pattern:
-    if isinstance(p1, NotAllowed):
-        return p2
-    if isinstance(p2, NotAllowed):
-        return p1
-    if p1 == p2:
-        return p1
-    return Choice(p1, p2)
-
-
-def group(p1: Pattern, p2: Pattern) -> Pattern:
-    if isinstance(p1, NotAllowed) or isinstance(p2, NotAllowed):
-        return _NOT_ALLOWED
-    if isinstance(p1, Empty):
-        return p2
-    if isinstance(p2, Empty):
-        return p1
-    return Group(p1, p2)
-
-
-def after(p1: Pattern, p2: Pattern) -> Pattern:
-    if isinstance(p1, NotAllowed) or isinstance(p2, NotAllowed):
-        return _NOT_ALLOWED
-    return After(p1, p2)
-
-
-def one_or_more(p: Pattern) -> Pattern:
-    if isinstance(p, NotAllowed):
-        return _NOT_ALLOWED
-    return OneOrMore(p)
-
-
-# -- derivative core ------------------------------------------------------------
-
-def nullable(p: Pattern) -> bool:
-    if isinstance(p, (Empty, Text)):
-        return True
-    if isinstance(p, Group):
-        return nullable(p.p1) and nullable(p.p2)
-    if isinstance(p, Choice):
-        return nullable(p.p1) or nullable(p.p2)
-    if isinstance(p, OneOrMore):
-        return nullable(p.p)
-    return False
-
-
-def apply_after(f, p: Pattern) -> Pattern:
-    if isinstance(p, After):
-        return after(p.p1, f(p.p2))
-    if isinstance(p, Choice):
-        return choice(apply_after(f, p.p1), apply_after(f, p.p2))
-    if isinstance(p, NotAllowed):
-        return _NOT_ALLOWED
-    raise AssertionError(f"apply_after on {type(p).__name__}")
-
-
-def start_tag_open_deriv(p: Pattern, qn: tuple[str, str]) -> Pattern:
-    if isinstance(p, Choice):
-        return choice(start_tag_open_deriv(p.p1, qn), start_tag_open_deriv(p.p2, qn))
-    if isinstance(p, ElementP):
-        return after(p.p, _EMPTY) if p.nc.contains(qn) else _NOT_ALLOWED
-    if isinstance(p, After):
-        return apply_after(lambda x: after(x, p.p2), start_tag_open_deriv(p.p1, qn))
-    if isinstance(p, Group):
-        x = apply_after(lambda q: group(q, p.p2), start_tag_open_deriv(p.p1, qn))
-        return choice(x, start_tag_open_deriv(p.p2, qn)) if nullable(p.p1) else x
-    if isinstance(p, OneOrMore):
-        rest = choice(OneOrMore(p.p), _EMPTY)
-        return apply_after(lambda q: group(q, rest), start_tag_open_deriv(p.p, qn))
-    return _NOT_ALLOWED
-
-
-def att_deriv(p: Pattern, qn: tuple[str, str], value: str) -> Pattern:
-    if isinstance(p, After):
-        return after(att_deriv(p.p1, qn, value), p.p2)
-    if isinstance(p, Choice):
-        return choice(att_deriv(p.p1, qn, value), att_deriv(p.p2, qn, value))
-    if isinstance(p, Group):
-        return choice(
-            group(att_deriv(p.p1, qn, value), p.p2),
-            group(p.p1, att_deriv(p.p2, qn, value)),
-        )
-    if isinstance(p, OneOrMore):
-        return group(att_deriv(p.p, qn, value), choice(OneOrMore(p.p), _EMPTY))
-    if isinstance(p, AttributeP):
-        if p.nc.contains(qn) and _value_match(p.p, value):
-            return _EMPTY
-        return _NOT_ALLOWED
-    return _NOT_ALLOWED
-
-
-def _value_match(p: Pattern, s: str) -> bool:
-    return (nullable(p) and _is_ws(s)) or nullable(text_deriv(p, s))
-
-
-def start_tag_close_deriv(p: Pattern) -> Pattern:
-    if isinstance(p, After):
-        return after(start_tag_close_deriv(p.p1), p.p2)
-    if isinstance(p, Choice):
-        return choice(start_tag_close_deriv(p.p1), start_tag_close_deriv(p.p2))
-    if isinstance(p, Group):
-        return group(start_tag_close_deriv(p.p1), start_tag_close_deriv(p.p2))
-    if isinstance(p, OneOrMore):
-        return one_or_more(start_tag_close_deriv(p.p))
-    if isinstance(p, AttributeP):
-        return _NOT_ALLOWED
-    return p
-
-
-def text_deriv(p: Pattern, s: str) -> Pattern:
-    if isinstance(p, Choice):
-        return choice(text_deriv(p.p1, s), text_deriv(p.p2, s))
-    if isinstance(p, After):
-        return after(text_deriv(p.p1, s), p.p2)
-    if isinstance(p, Group):
-        x = group(text_deriv(p.p1, s), p.p2)
-        return choice(x, text_deriv(p.p2, s)) if nullable(p.p1) else x
-    if isinstance(p, OneOrMore):
-        return group(text_deriv(p.p, s), choice(OneOrMore(p.p), _EMPTY))
-    if isinstance(p, Text):
-        return p
-    if isinstance(p, Data):
-        return _EMPTY if _DATATYPES[p.type](s) else _NOT_ALLOWED
-    if isinstance(p, Value):
-        return _EMPTY if _collapse(s) == _collapse(p.value) else _NOT_ALLOWED
-    return _NOT_ALLOWED
-
-
-def end_tag_deriv(p: Pattern) -> Pattern:
-    if isinstance(p, Choice):
-        return choice(end_tag_deriv(p.p1), end_tag_deriv(p.p2))
-    if isinstance(p, After):
-        return p.p2 if nullable(p.p1) else _NOT_ALLOWED
-    return _NOT_ALLOWED
+def _memoised(derive):
+    """Keep derive's results in its schema's table for it, keyed by the
+    arguments: interned patterns, names and leaf sets, which all hash in C."""
+    def memoised(self, *key):
+        table = self._memo[derive]
+        out = table.get(key, _MISS)
+        if out is _MISS:
+            out = table[key] = derive(self, *key)
+        return out
+    return memoised
 
 
 # -- datatypes -------------------------------------------------------------------
 
 _NCNAME = re.compile(r"[A-Za-z_][A-Za-z0-9._\-]*\Z")
 _DIGITS = re.compile(r"[0-9]+\Z")
+_POSITIVE = re.compile(r"0*[1-9][0-9]*\Z")  # no int(): its digit limit would raise
 
 _DATATYPES = {
     "string": lambda s: True,
@@ -275,7 +162,7 @@ _DATATYPES = {
     "ID": lambda s: bool(_NCNAME.match(s.strip())),
     "IDREF": lambda s: bool(_NCNAME.match(s.strip())),
     "nonNegativeInteger": lambda s: bool(_DIGITS.match(s.strip())),
-    "positiveInteger": lambda s: bool(_DIGITS.match(s.strip())) and int(s) > 0,
+    "positiveInteger": lambda s: bool(_POSITIVE.match(s.strip())),
 }
 
 
@@ -296,46 +183,10 @@ def _qname(tag: str) -> tuple[str, str]:
     return "", tag
 
 
-def _check(p: Pattern, what: str, names: list[str]) -> Pattern:
-    if isinstance(p, NotAllowed):
-        raise ValidationError(f"/{'/'.join(names)}: {what}")
-    return p
-
-
-def _walk(p: Pattern, root: ET.Element) -> Pattern:
-    """Derive p by a whole document, one start tag, text or end tag at a time.
-
-    The stack holds what is left to visit, next item last: an element,
-    non-whitespace text, or an element's end (None).  The After patterns hold
-    what follows each open element, so nothing recurses on document depth.
-    """
-    names: list[str] = []  # the open elements, outermost first
-    stack: list[ET.Element | str | None] = [root]
-    while stack:
-        item = stack.pop()
-        if item is None:
-            p = _check(end_tag_deriv(p), "content incomplete", names)
-            names.pop()
-        elif isinstance(item, str):
-            p = _check(text_deriv(p, item), f"text {item!r} not allowed", names)
-        else:
-            qn = _qname(item.tag)
-            p = _check(start_tag_open_deriv(p, qn), f"element {qn[1]!r} not allowed here", names)
-            names.append(qn[1])
-            for key, value in item.items():
-                p = _check(att_deriv(p, _qname(key), value), f"attribute {key}={value!r} not allowed", names)
-            p = _check(start_tag_close_deriv(p), "required attribute missing", names)
-            stack.append(None)
-            if len(item):
-                # mixed content: whitespace between child elements is insignificant
-                seq: list = [item.text]
-                for child in item:
-                    seq += (child, child.tail)
-                stack += [x for x in reversed(seq) if isinstance(x, ET.Element) or (x and not _is_ws(x))]
-            else:
-                s = item.text or ""
-                d = text_deriv(p, s)
-                p = choice(d, p) if _is_ws(s) else _check(d, f"text {s!r} not allowed", names)
+def _check(p: Pattern, names: list[str], what: str, *args) -> Pattern:
+    # the message is formatted only on failure: what % args
+    if p is _NOT_ALLOWED:
+        raise ValidationError(f"/{'/'.join(names)}: " + what % args)
     return p
 
 
@@ -349,10 +200,16 @@ _SUPPORTED = {
 
 
 class Schema:
-    """Compiled grammar; validate() raises ValidationError on the first defect."""
+    """Compiled grammar; validate() raises ValidationError on the first defect.
 
-    def __init__(self, start: Pattern):
-        self.start = start
+    The schema owns the intern table its patterns are built through and the
+    memo tables of their derivatives, so both are freed with it.
+    """
+
+    def __init__(self):
+        self.start: Pattern = _NOT_ALLOWED
+        self._interned: dict[tuple, Pattern] = {}
+        self._memo: defaultdict = defaultdict(dict)
 
     @classmethod
     def from_string(cls, text: str) -> "Schema":
@@ -376,28 +233,210 @@ class Schema:
                 raise SchemaError(f"unsupported grammar child {local!r}")
         if start_el is None:
             raise SchemaError("grammar has no start")
-        # define elements, compiled defines (None while compiling), and
-        # element patterns whose content is still to compile
-        ctx = (defines, {}, [], default_ns)
-        start = _compile_seq(list(start_el), ctx, default_ns)
+        schema = cls()
+        # define elements, compiled defines (None while compiling), element
+        # patterns whose content is still to compile, and the schema they intern in
+        ctx = (defines, {}, [], default_ns, schema)
+        schema.start = _compile_seq(list(start_el), ctx, default_ns)
         for name in defines:
             _ref(name, ctx)
         pending = ctx[2]
         while pending:
             elem, children, ns = pending.pop()
             elem.p = _compile_seq(children, ctx, ns)
-        return cls(start)
+        return schema
 
     def validate(self, root: ET.Element) -> None:
-        if not nullable(_walk(self.start, root)):
+        if not self.nullable(self._walk(root)):
             raise ValidationError("/: document incomplete")
 
     def validate_string(self, text: str) -> None:
         self.validate(ET.fromstring(text))
 
+    # -- hash-consing constructors; they also keep the derivative small
+
+    def _make(self, cls: type, *fields) -> Pattern:
+        key = (cls, *fields)
+        p = self._interned.get(key)
+        if p is None:
+            p = self._interned[key] = cls(*fields)
+        return p
+
+    def choice(self, p1: Pattern, p2: Pattern) -> Pattern:
+        if p1 is _NOT_ALLOWED:
+            return p2
+        if p2 is _NOT_ALLOWED or p1 is p2:
+            return p1
+        return self._make(Choice, p1, p2)
+
+    def group(self, p1: Pattern, p2: Pattern) -> Pattern:
+        if p1 is _NOT_ALLOWED or p2 is _NOT_ALLOWED:
+            return _NOT_ALLOWED
+        if p1 is _EMPTY:
+            return p2
+        if p2 is _EMPTY:
+            return p1
+        return self._make(Group, p1, p2)
+
+    def after(self, p1: Pattern, p2: Pattern) -> Pattern:
+        if p1 is _NOT_ALLOWED or p2 is _NOT_ALLOWED:
+            return _NOT_ALLOWED
+        return self._make(After, p1, p2)
+
+    # -- derivative core, memoised per schema
+
+    @_memoised
+    def nullable(self, p: Pattern) -> bool:
+        if isinstance(p, (Empty, Text)):
+            return True
+        if isinstance(p, Group):
+            return self.nullable(p.p1) and self.nullable(p.p2)
+        if isinstance(p, Choice):
+            return self.nullable(p.p1) or self.nullable(p.p2)
+        if isinstance(p, OneOrMore):
+            return self.nullable(p.p)
+        return False
+
+    def apply_after(self, f, p: Pattern) -> Pattern:
+        if isinstance(p, After):
+            return self.after(p.p1, f(p.p2))
+        if isinstance(p, Choice):
+            return self.choice(self.apply_after(f, p.p1), self.apply_after(f, p.p2))
+        if p is _NOT_ALLOWED:
+            return _NOT_ALLOWED
+        raise AssertionError(f"apply_after on {type(p).__name__}")
+
+    @_memoised
+    def start_tag_open_deriv(self, p: Pattern, qn: tuple[str, str]) -> Pattern:
+        if isinstance(p, Choice):
+            return self.choice(self.start_tag_open_deriv(p.p1, qn), self.start_tag_open_deriv(p.p2, qn))
+        if isinstance(p, ElementP):
+            return self.after(p.p, _EMPTY) if p.nc.contains(qn) else _NOT_ALLOWED
+        if isinstance(p, After):
+            return self.apply_after(lambda x: self.after(x, p.p2), self.start_tag_open_deriv(p.p1, qn))
+        if isinstance(p, Group):
+            x = self.apply_after(lambda q: self.group(q, p.p2), self.start_tag_open_deriv(p.p1, qn))
+            return self.choice(x, self.start_tag_open_deriv(p.p2, qn)) if self.nullable(p.p1) else x
+        if isinstance(p, OneOrMore):
+            rest = self.choice(p, _EMPTY)
+            return self.apply_after(lambda q: self.group(q, rest), self.start_tag_open_deriv(p.p, qn))
+        return _NOT_ALLOWED
+
+    @_memoised
+    def _leaves(self, p: Pattern, qn: tuple[str, str] | None) -> tuple[Pattern, ...]:
+        """The leaves of p whose verdict on a value the attribute derivative by qn
+        (attributes named qn) or, for qn None, the text derivative (data, values) reads."""
+        if isinstance(p, (Choice, Group)):
+            return self._leaves(p.p1, qn) + self._leaves(p.p2, qn)
+        if isinstance(p, (After, OneOrMore)):
+            return self._leaves(p.p1 if isinstance(p, After) else p.p, qn)
+        wanted = isinstance(p, AttributeP) and p.nc.contains(qn) if qn else isinstance(p, (Data, Value))
+        return (p,) if wanted else ()
+
+    def att_deriv(self, p: Pattern, qn: tuple[str, str], value: str) -> Pattern:
+        return self._att_deriv(p, frozenset(a for a in self._leaves(p, qn) if self._value_match(a.p, value)))
+
+    @_memoised
+    def _att_deriv(self, p: Pattern, ok: frozenset) -> Pattern:
+        """The attribute derivative of p, given the attribute leaves that accept it."""
+        if isinstance(p, After):
+            return self.after(self._att_deriv(p.p1, ok), p.p2)
+        if isinstance(p, Choice):
+            return self.choice(self._att_deriv(p.p1, ok), self._att_deriv(p.p2, ok))
+        if isinstance(p, Group):
+            return self.choice(self.group(self._att_deriv(p.p1, ok), p.p2),
+                               self.group(p.p1, self._att_deriv(p.p2, ok)))
+        if isinstance(p, OneOrMore):
+            return self.group(self._att_deriv(p.p, ok), self.choice(p, _EMPTY))
+        return _EMPTY if p in ok else _NOT_ALLOWED
+
+    def _value_match(self, p: Pattern, s: str) -> bool:
+        return (self.nullable(p) and _is_ws(s)) or self.nullable(self.text_deriv(p, s))
+
+    @_memoised
+    def start_tag_close_deriv(self, p: Pattern) -> Pattern:
+        if isinstance(p, After):
+            return self.after(self.start_tag_close_deriv(p.p1), p.p2)
+        if isinstance(p, Choice):
+            return self.choice(self.start_tag_close_deriv(p.p1), self.start_tag_close_deriv(p.p2))
+        if isinstance(p, Group):
+            return self.group(self.start_tag_close_deriv(p.p1), self.start_tag_close_deriv(p.p2))
+        if isinstance(p, OneOrMore):
+            q = self.start_tag_close_deriv(p.p)
+            return _NOT_ALLOWED if q is _NOT_ALLOWED else self._make(OneOrMore, q)
+        if isinstance(p, AttributeP):
+            return _NOT_ALLOWED
+        return p
+
+    def text_deriv(self, p: Pattern, s: str) -> Pattern:
+        return self._text_deriv(p, frozenset(
+            x for x in self._leaves(p, None)
+            if (_DATATYPES[x.type](s) if isinstance(x, Data) else _collapse(s) == _collapse(x.value))))
+
+    @_memoised
+    def _text_deriv(self, p: Pattern, ok: frozenset) -> Pattern:
+        """The text derivative of p, given the data and value leaves that accept the text."""
+        if isinstance(p, Choice):
+            return self.choice(self._text_deriv(p.p1, ok), self._text_deriv(p.p2, ok))
+        if isinstance(p, After):
+            return self.after(self._text_deriv(p.p1, ok), p.p2)
+        if isinstance(p, Group):
+            x = self.group(self._text_deriv(p.p1, ok), p.p2)
+            return self.choice(x, self._text_deriv(p.p2, ok)) if self.nullable(p.p1) else x
+        if isinstance(p, OneOrMore):
+            return self.group(self._text_deriv(p.p, ok), self.choice(p, _EMPTY))
+        if isinstance(p, Text):
+            return p
+        return _EMPTY if p in ok else _NOT_ALLOWED
+
+    @_memoised
+    def end_tag_deriv(self, p: Pattern) -> Pattern:
+        if isinstance(p, Choice):
+            return self.choice(self.end_tag_deriv(p.p1), self.end_tag_deriv(p.p2))
+        if isinstance(p, After):
+            return p.p2 if self.nullable(p.p1) else _NOT_ALLOWED
+        return _NOT_ALLOWED
+
+    def _walk(self, root: ET.Element) -> Pattern:
+        """Derive the start pattern by a whole document, one tag or text at a time.
+
+        The stack holds what is left to visit, next item last: an element,
+        non-whitespace text, or an element's end (None).  The After patterns hold
+        what follows each open element, so nothing recurses on document depth.
+        """
+        p = self.start
+        names: list[str] = []  # the open elements, outermost first
+        stack: list[ET.Element | str | None] = [root]
+        while stack:
+            item = stack.pop()
+            if item is None:
+                p = _check(self.end_tag_deriv(p), names, "content incomplete")
+                names.pop()
+            elif isinstance(item, str):
+                p = _check(self.text_deriv(p, item), names, "text %r not allowed", item)
+            else:
+                qn = _qname(item.tag)
+                p = _check(self.start_tag_open_deriv(p, qn), names, "element %r not allowed here", qn[1])
+                names.append(qn[1])
+                for key, value in item.items():
+                    p = _check(self.att_deriv(p, _qname(key), value), names, "attribute %s=%r not allowed", key, value)
+                p = _check(self.start_tag_close_deriv(p), names, "required attribute missing")
+                stack.append(None)
+                if len(item):
+                    # mixed content: whitespace between child elements is insignificant
+                    seq: list = [item.text]
+                    for child in item:
+                        seq += (child, child.tail)
+                    stack += [x for x in reversed(seq) if isinstance(x, ET.Element) or (x and not _is_ws(x))]
+                else:
+                    s = item.text or ""
+                    d = self.text_deriv(p, s)
+                    p = self.choice(d, p) if _is_ws(s) else _check(d, names, "text %r not allowed", s)
+        return p
+
 
 def _ref(name: str, ctx: tuple) -> Pattern:
-    defines, compiled, _, default_ns = ctx
+    defines, compiled, _, default_ns, _ = ctx
     if name not in defines:
         raise SchemaError(f"ref to undefined pattern {name!r}")
     if name not in compiled:
@@ -412,7 +451,7 @@ def _compile_seq(elems: list[ET.Element], ctx: tuple, ns: str) -> Pattern:
     out: Pattern = _EMPTY
     for e in elems:
         if _qname(e.tag)[0] == RELAXNG_NS:
-            out = group(out, _compile(e, ctx, ns))
+            out = ctx[4].group(out, _compile(e, ctx, ns))
     return out
 
 
@@ -439,6 +478,7 @@ def _name_class(el: ET.Element, ns: str):
 
 def _compile(el: ET.Element, ctx: tuple, ns: str) -> Pattern:
     local = _qname(el.tag)[1]
+    schema = ctx[4]
     if local not in _SUPPORTED:
         raise SchemaError(f"unsupported RELAX NG construct {local!r}")
     if local == "element":
@@ -451,7 +491,7 @@ def _compile(el: ET.Element, ctx: tuple, ns: str) -> Pattern:
         # RELAX NG: the inherited ns does not apply to attribute names
         nc, children = _name_class(el, "")
         content = _compile_seq(children, ctx, ns)
-        return AttributeP(nc, _TEXT if isinstance(content, Empty) else content)
+        return schema._make(AttributeP, nc, _TEXT if content is _EMPTY else content)
     if local == "group":
         return _compile_seq(list(el), ctx, ns)
     if local == "choice":
@@ -460,14 +500,14 @@ def _compile(el: ET.Element, ctx: tuple, ns: str) -> Pattern:
             raise SchemaError("choice without a pattern")
         out = parts[0]
         for part in parts[1:]:
-            out = choice(out, part)
+            out = schema.choice(out, part)
         return out
     if local == "optional":
-        return choice(_compile_seq(list(el), ctx, ns), _EMPTY)
+        return schema.choice(_compile_seq(list(el), ctx, ns), _EMPTY)
     if local == "zeroOrMore":
-        return choice(OneOrMore(_compile_seq(list(el), ctx, ns)), _EMPTY)
+        return schema.choice(schema._make(OneOrMore, _compile_seq(list(el), ctx, ns)), _EMPTY)
     if local == "oneOrMore":
-        return OneOrMore(_compile_seq(list(el), ctx, ns))
+        return schema._make(OneOrMore, _compile_seq(list(el), ctx, ns))
     if local == "text":
         return _TEXT
     if local == "empty":
@@ -480,9 +520,9 @@ def _compile(el: ET.Element, ctx: tuple, ns: str) -> Pattern:
         type_name = el.get("type")
         if type_name not in _DATATYPES:
             raise SchemaError(f"unsupported datatype {type_name!r}")
-        return Data(type_name)
+        return schema._make(Data, type_name)
     if local == "value":
-        return Value(el.text or "")
+        return schema._make(Value, el.text or "")
     if local == "ref":
         return _ref(el.get("name"), ctx)
     if local in ("anyName", "name"):

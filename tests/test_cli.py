@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import petrimod
-from petrimod import dumps, evaluate, fixture_path, loads, validate_pnml
+from petrimod import cli, dumps, evaluate, fixture_path, loads, validate_pnml
 from petrimod.cli import main
 
 PHIL = str(fixture_path("philosophers.hkl"))
@@ -162,10 +162,16 @@ def test_reach_invariant_usage_errors(capsys):
     assert main(["reach", PHIL, "phils_in_a_cycle", "--invariant", "sum(nowhere) < 1"]) == 2
 
 
+def test_malformed_invariant_fails_before_the_sweep(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "reachability", lambda *a, **k: pytest.fail("swept before the usage error"))
+    assert main(["reach", PHIL, "phils_in_a_cycle", "--invariant", "count(eating) < 1"]) == 2
+    assert capsys.readouterr() == ("", "bad invariant clause: 'count(eating) < 1'\n")
+
+
 def test_overlong_invariant_bound_is_usage_error(capsys):
     argv = ["reach", PHIL, "phils_in_a_cycle", "--invariant", "sum(eating) <= " + "9" * 5000]
     assert main(argv) == 2
-    assert capsys.readouterr().err == "invariant bound too long (5000 digits)\n"
+    assert capsys.readouterr() == ("", "invariant bound too long (5000 digits)\n")
 
 
 def test_reach_truncation_flag(capsys):

@@ -141,6 +141,24 @@ def test_node_id_pickles_keep_key_and_hash_afresh():
         assert back.key == nid.key == (("a", "g1"), ("b", "g2"))
 
 
+def test_atoms_are_slotted_and_small():
+    # own-process allocations only; the field strings exist before tracing starts
+    names = [f"n{k}" for k in range(100_000)]
+    tracemalloc.start()
+    try:
+        atoms = [AtomicNodeId("i1", name) for name in names]
+        size = tracemalloc.get_traced_memory()[0] - sys.getsizeof(atoms)
+    finally:
+        tracemalloc.stop()
+    assert size / len(atoms) <= 64  # 48 B with slots; 88 B (Python 3.11) with a __dict__
+    a = atoms[7]
+    assert not hasattr(a, "__dict__")
+    with pytest.raises(AttributeError):  # still frozen
+        a.name = "m"
+    back = pickle.loads(pickle.dumps(a))
+    assert back == a and hash(back) == hash(a) == hash(("i1", "n7")) and back < AtomicNodeId("i1", "n8")
+
+
 def test_node_id_needs_an_atom():
     with pytest.raises(MalformedModule):
         NodeId(frozenset())

@@ -1,10 +1,13 @@
 import copy
+import dataclasses
 import hashlib
 import os
 import random
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from collections import Counter
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -14,6 +17,7 @@ from petrimod import evaluate, fixture_path, parse, to_pnml, validate_pnml
 from petrimod.errors import NotANet
 from petrimod.export import PNML_NS, ptnet_schema
 from petrimod.generate import random_net
+from petrimod import relaxng as rng
 from petrimod.nets import net_to_module
 from petrimod.relaxng import Schema, SchemaError, ValidationError
 
@@ -89,6 +93,14 @@ def test_datatype_checks():
     for bad in ("-1", "abc", "1.5", ""):
         with pytest.raises(ValidationError):
             COUNT.validate_string(f"<n>{bad}</n>")
+
+
+def test_positive_integer_longer_than_the_int_string_limit():
+    s = schema("<element name='n'><data type='positiveInteger'/></element>")
+    s.validate_string(f"<n> {'0' * 4999}1 </n>")
+    for bad in ("0" * 5000, "0", "-1", "1.0"):
+        with pytest.raises(ValidationError, match="^/n: text"):
+            s.validate_string(f"<n>{bad}</n>")
 
 
 def test_id_is_checked_lexically():
@@ -324,3 +336,381 @@ def test_mutated_exports_get_the_reference_verdicts():
     assert verdicts.count("valid") == 483
     digest = hashlib.sha256("\n".join(verdicts).encode()).hexdigest()
     assert digest == "4bc2d1f95850907224573a5215c7dfe6b74f68c4dfb0a21068dad72361950425"
+
+
+# -- reference engine ---------------------------------------------------------------
+# The derivative functions as they were before patterns were hash-consed and
+# derivatives memoised, kept as the oracle for the memoised ones.  They build
+# patterns without interning, so `choice` compares them by their fields (an
+# ElementP by identity), as the patterns' dataclass equality once did.
+
+def _same(p, q) -> bool:
+    if p is q or not isinstance(p, rng.Pattern):
+        return p == q
+    return type(p) is type(q) and not isinstance(p, rng.ElementP) and all(
+        _same(getattr(p, f.name), getattr(q, f.name)) for f in dataclasses.fields(p))
+
+
+def ref_choice(p1, p2):
+    if isinstance(p1, rng.NotAllowed):
+        return p2
+    if isinstance(p2, rng.NotAllowed):
+        return p1
+    if _same(p1, p2):
+        return p1
+    return rng.Choice(p1, p2)
+
+
+def ref_group(p1, p2):
+    if isinstance(p1, rng.NotAllowed) or isinstance(p2, rng.NotAllowed):
+        return rng._NOT_ALLOWED
+    if isinstance(p1, rng.Empty):
+        return p2
+    if isinstance(p2, rng.Empty):
+        return p1
+    return rng.Group(p1, p2)
+
+
+def ref_after(p1, p2):
+    if isinstance(p1, rng.NotAllowed) or isinstance(p2, rng.NotAllowed):
+        return rng._NOT_ALLOWED
+    return rng.After(p1, p2)
+
+
+def ref_one_or_more(p):
+    if isinstance(p, rng.NotAllowed):
+        return rng._NOT_ALLOWED
+    return rng.OneOrMore(p)
+
+
+def ref_nullable(p) -> bool:
+    if isinstance(p, (rng.Empty, rng.Text)):
+        return True
+    if isinstance(p, rng.Group):
+        return ref_nullable(p.p1) and ref_nullable(p.p2)
+    if isinstance(p, rng.Choice):
+        return ref_nullable(p.p1) or ref_nullable(p.p2)
+    if isinstance(p, rng.OneOrMore):
+        return ref_nullable(p.p)
+    return False
+
+
+def ref_apply_after(f, p):
+    if isinstance(p, rng.After):
+        return ref_after(p.p1, f(p.p2))
+    if isinstance(p, rng.Choice):
+        return ref_choice(ref_apply_after(f, p.p1), ref_apply_after(f, p.p2))
+    if isinstance(p, rng.NotAllowed):
+        return rng._NOT_ALLOWED
+    raise AssertionError(f"apply_after on {type(p).__name__}")
+
+
+def ref_start_tag_open_deriv(p, qn):
+    if isinstance(p, rng.Choice):
+        return ref_choice(ref_start_tag_open_deriv(p.p1, qn), ref_start_tag_open_deriv(p.p2, qn))
+    if isinstance(p, rng.ElementP):
+        return ref_after(p.p, rng._EMPTY) if p.nc.contains(qn) else rng._NOT_ALLOWED
+    if isinstance(p, rng.After):
+        return ref_apply_after(lambda x: ref_after(x, p.p2), ref_start_tag_open_deriv(p.p1, qn))
+    if isinstance(p, rng.Group):
+        x = ref_apply_after(lambda q: ref_group(q, p.p2), ref_start_tag_open_deriv(p.p1, qn))
+        return ref_choice(x, ref_start_tag_open_deriv(p.p2, qn)) if ref_nullable(p.p1) else x
+    if isinstance(p, rng.OneOrMore):
+        rest = ref_choice(rng.OneOrMore(p.p), rng._EMPTY)
+        return ref_apply_after(lambda q: ref_group(q, rest), ref_start_tag_open_deriv(p.p, qn))
+    return rng._NOT_ALLOWED
+
+
+def ref_att_deriv(p, qn, value):
+    if isinstance(p, rng.After):
+        return ref_after(ref_att_deriv(p.p1, qn, value), p.p2)
+    if isinstance(p, rng.Choice):
+        return ref_choice(ref_att_deriv(p.p1, qn, value), ref_att_deriv(p.p2, qn, value))
+    if isinstance(p, rng.Group):
+        return ref_choice(
+            ref_group(ref_att_deriv(p.p1, qn, value), p.p2),
+            ref_group(p.p1, ref_att_deriv(p.p2, qn, value)),
+        )
+    if isinstance(p, rng.OneOrMore):
+        return ref_group(ref_att_deriv(p.p, qn, value), ref_choice(rng.OneOrMore(p.p), rng._EMPTY))
+    if isinstance(p, rng.AttributeP):
+        if p.nc.contains(qn) and ref_value_match(p.p, value):
+            return rng._EMPTY
+        return rng._NOT_ALLOWED
+    return rng._NOT_ALLOWED
+
+
+def ref_value_match(p, s):
+    return (ref_nullable(p) and rng._is_ws(s)) or ref_nullable(ref_text_deriv(p, s))
+
+
+def ref_start_tag_close_deriv(p):
+    if isinstance(p, rng.After):
+        return ref_after(ref_start_tag_close_deriv(p.p1), p.p2)
+    if isinstance(p, rng.Choice):
+        return ref_choice(ref_start_tag_close_deriv(p.p1), ref_start_tag_close_deriv(p.p2))
+    if isinstance(p, rng.Group):
+        return ref_group(ref_start_tag_close_deriv(p.p1), ref_start_tag_close_deriv(p.p2))
+    if isinstance(p, rng.OneOrMore):
+        return ref_one_or_more(ref_start_tag_close_deriv(p.p))
+    if isinstance(p, rng.AttributeP):
+        return rng._NOT_ALLOWED
+    return p
+
+
+def ref_text_deriv(p, s):
+    if isinstance(p, rng.Choice):
+        return ref_choice(ref_text_deriv(p.p1, s), ref_text_deriv(p.p2, s))
+    if isinstance(p, rng.After):
+        return ref_after(ref_text_deriv(p.p1, s), p.p2)
+    if isinstance(p, rng.Group):
+        x = ref_group(ref_text_deriv(p.p1, s), p.p2)
+        return ref_choice(x, ref_text_deriv(p.p2, s)) if ref_nullable(p.p1) else x
+    if isinstance(p, rng.OneOrMore):
+        return ref_group(ref_text_deriv(p.p, s), ref_choice(rng.OneOrMore(p.p), rng._EMPTY))
+    if isinstance(p, rng.Text):
+        return p
+    if isinstance(p, rng.Data):
+        return rng._EMPTY if rng._DATATYPES[p.type](s) else rng._NOT_ALLOWED
+    if isinstance(p, rng.Value):
+        return rng._EMPTY if rng._collapse(s) == rng._collapse(p.value) else rng._NOT_ALLOWED
+    return rng._NOT_ALLOWED
+
+
+def ref_end_tag_deriv(p):
+    if isinstance(p, rng.Choice):
+        return ref_choice(ref_end_tag_deriv(p.p1), ref_end_tag_deriv(p.p2))
+    if isinstance(p, rng.After):
+        return p.p2 if ref_nullable(p.p1) else rng._NOT_ALLOWED
+    return rng._NOT_ALLOWED
+
+
+def _ref_check(p, what, names):
+    if isinstance(p, rng.NotAllowed):
+        raise ValidationError(f"/{'/'.join(names)}: {what}")
+    return p
+
+
+def ref_walk(p, root):
+    names = []
+    stack = [root]
+    while stack:
+        item = stack.pop()
+        if item is None:
+            p = _ref_check(ref_end_tag_deriv(p), "content incomplete", names)
+            names.pop()
+        elif isinstance(item, str):
+            p = _ref_check(ref_text_deriv(p, item), f"text {item!r} not allowed", names)
+        else:
+            qn = rng._qname(item.tag)
+            p = _ref_check(ref_start_tag_open_deriv(p, qn), f"element {qn[1]!r} not allowed here", names)
+            names.append(qn[1])
+            for key, value in item.items():
+                p = _ref_check(ref_att_deriv(p, rng._qname(key), value), f"attribute {key}={value!r} not allowed", names)
+            p = _ref_check(ref_start_tag_close_deriv(p), "required attribute missing", names)
+            stack.append(None)
+            if len(item):
+                seq = [item.text]
+                for child in item:
+                    seq += (child, child.tail)
+                stack += [x for x in reversed(seq) if isinstance(x, ET.Element) or (x and not rng._is_ws(x))]
+            else:
+                s = item.text or ""
+                d = ref_text_deriv(p, s)
+                p = ref_choice(d, p) if rng._is_ws(s) else _ref_check(d, f"text {s!r} not allowed", names)
+    return p
+
+
+def reference_validate(schema: Schema, root: ET.Element) -> None:
+    if not ref_nullable(ref_walk(schema.start, root)):
+        raise ValidationError("/: document incomplete")
+
+
+def _verdict(check, *args) -> str:
+    try:
+        check(*args)
+        return "valid"
+    except ValidationError as e:
+        return f"invalid: {e}"
+
+
+# -- seeded random grammars and documents ---------------------------------------------
+# A grammar is a tree of tuples, (kind, *fields), that both serialises to RELAX NG
+# and samples documents; defines are elements, so recursion passes through one.
+
+_NAMES = ["a", "b", "c"]
+_TYPES = ["string", "token", "NCName", "ID", "nonNegativeInteger", "positiveInteger"]
+_WORDS = ["", " ", "x", "a b", "1bad", "0", "7", "-1", "007", " 3 ", "yes"]
+
+
+def _random_attribute_content(r: random.Random):
+    return r.choice([("text",), ("empty",), ("data", r.choice(_TYPES)), ("value", r.choice(_WORDS)),
+                     ("choice", ("value", r.choice(_WORDS)), ("value", r.choice(_WORDS)))])
+
+
+def _random_pattern(r: random.Random, depth: int, defines: int):
+    leaves = ["text", "empty", "data", "value", "attribute", "notAllowed"] + ["ref"] * bool(defines)
+    kind = r.choice(leaves) if depth == 0 or r.random() < 0.15 else r.choice(
+        ["element"] * 3 + ["group"] * 2 + ["choice", "optional", "zeroOrMore", "oneOrMore", "attribute"])
+    name = r.choice(_NAMES + [None] * (r.random() < 0.1))
+    if kind == "element":
+        return (kind, name, _random_pattern(r, depth - 1, defines))
+    if kind == "attribute":
+        return (kind, name, _random_attribute_content(r))
+    if kind in ("group", "choice"):
+        return (kind, _random_pattern(r, depth - 1, defines), _random_pattern(r, depth - 1, defines))
+    if kind in ("optional", "zeroOrMore", "oneOrMore"):
+        return (kind, _random_pattern(r, depth - 1, defines))
+    if kind == "data":
+        return (kind, r.choice(_TYPES))
+    if kind == "value":
+        return (kind, r.choice(_WORDS))
+    if kind == "ref":
+        return (kind, r.randrange(defines))
+    return (kind,)
+
+
+def _grammar_xml(p) -> str:
+    kind = p[0]
+    if kind in ("element", "attribute"):
+        name = f' name="{p[1]}"' if p[1] else ""
+        return f"<{kind}{name}>{'' if p[1] else '<anyName/>'}{_grammar_xml(p[2])}</{kind}>"
+    if kind in ("group", "choice", "optional", "zeroOrMore", "oneOrMore"):
+        return f"<{kind}>{''.join(_grammar_xml(c) for c in p[1:])}</{kind}>"
+    if kind == "data":
+        return f'<data type="{p[1]}"/>'
+    if kind == "value":
+        return f"<value>{p[1]}</value>"
+    if kind == "ref":
+        return f'<ref name="d{p[1]}"/>'
+    return f"<{kind}/>"
+
+
+def _sample_value(r: random.Random, p) -> str:
+    if p[0] == "value" or (p[0] == "choice" and r.random() < 0.8):
+        return (p if p[0] == "value" else r.choice(p[1:]))[1]
+    if p[0] == "data" and p[1] in ("NCName", "ID"):
+        return r.choice(["a1", "n-2", "1bad", "x y"])
+    return r.choice(_WORDS)
+
+
+def _sample(r: random.Random, p, defines: list, depth: int, attrs: dict, content: list) -> None:
+    """Add to attrs and content what a document matching p might hold."""
+    kind = p[0]
+    if kind == "element":
+        el = ET.Element(p[1] or r.choice(_NAMES + ["z"]))
+        inner: list = []
+        if depth < 5:
+            _sample(r, p[2], defines, depth + 1, el.attrib, inner)
+        last = None
+        for item in inner:
+            if isinstance(item, str):
+                if last is None:
+                    el.text = (el.text or "") + item
+                else:
+                    last.tail = (last.tail or "") + item
+            else:
+                el.append(item)
+                last = item
+        content.append(el)
+    elif kind == "attribute":
+        attrs[p[1] or r.choice(_NAMES)] = _sample_value(r, p[2])
+    elif kind == "group":
+        _sample(r, p[1], defines, depth, attrs, content)
+        _sample(r, p[2], defines, depth, attrs, content)
+    elif kind == "choice":
+        _sample(r, r.choice(p[1:]), defines, depth, attrs, content)
+    elif kind in ("optional", "zeroOrMore", "oneOrMore"):
+        low = 1 if kind == "oneOrMore" else 0
+        for _ in range(r.randint(low, 1 if kind == "optional" or depth > 3 else 3)):
+            _sample(r, p[1], defines, depth, attrs, content)
+    elif kind in ("text", "value", "data"):
+        content.append(p[1] if kind == "value" else _sample_value(r, p))
+    elif kind == "ref":
+        _sample(r, defines[p[1]], defines, depth, attrs, content)
+
+
+def _random_document(r: random.Random, start, defines: list) -> ET.Element:
+    content: list = []
+    _sample(r, start, defines, 0, {}, content)
+    elements = [c for c in content if isinstance(c, ET.Element)]
+    root = elements[0] if elements else ET.Element(r.choice(_NAMES))
+    for _ in range(r.choice([0, 0, 1, 2])):  # some light damage
+        el = r.choice(list(root.iter()))
+        op = r.randrange(4)
+        if op == 0 and len(el):
+            el.remove(r.choice(list(el)))
+        elif op == 1:
+            el.set(r.choice(_NAMES), r.choice(_WORDS))
+        elif op == 2:
+            el.text = r.choice(_WORDS)
+        else:
+            el.tag = r.choice(_NAMES + ["z"])
+    return root
+
+
+def test_memoised_validator_matches_the_reference_on_random_grammars():
+    seen: Counter = Counter()
+    for seed in range(3000):
+        r = random.Random(seed)
+        defines = [("element", r.choice(_NAMES), None) for _ in range(r.randint(0, 2))]
+        defines = [(kind, name, _random_pattern(r, 5, len(defines))) for kind, name, _ in defines]
+        start = ("element", r.choice(_NAMES), _random_pattern(r, 5, len(defines)))
+        s = Schema.from_string(
+            f"<grammar xmlns='{RNG_NS}'><start>{_grammar_xml(start)}</start>"
+            + "".join(f"<define name='d{k}'>{_grammar_xml(d)}</define>" for k, d in enumerate(defines))
+            + "</grammar>")
+        for _ in range(20):  # one schema, so later documents meet a warm memo
+            root = _random_document(r, start, defines)
+            want = _verdict(reference_validate, s, root)
+            assert _verdict(s.validate, root) == want, (seed, ET.tostring(root))
+            seen[want.split(":")[0] if want == "valid" else want.rsplit(": ", 1)[1].split(" ")[0]] += 1
+    assert seen["valid"] >= 10_000, seen
+    for message in ("element", "attribute", "text", "content", "required"):
+        assert seen[message] >= 500, seen
+
+
+def test_memoised_validator_matches_the_reference_on_random_nets():
+    s = ptnet_schema()
+    r = random.Random(11)
+    for k in range(150):
+        root = ET.fromstring(to_pnml(net_to_module(random_net(r, f"r{k}", max_transitions=6, max_places=8))))
+        assert _verdict(s.validate, root) == "valid" == _verdict(reference_validate, s, root)
+        for _ in range(r.randint(1, 3)):
+            _mutate(r, root)
+        assert _verdict(s.validate, root) == _verdict(reference_validate, s, root)
+
+
+# -- work per element -------------------------------------------------------------------
+
+def _relaxng_work_validating_ring(src: str, n: int) -> tuple[int, int]:
+    """Line events inside relaxng.py while a fresh copy of the bundled schema
+    validates the n-philosopher ring's export, and the memo entries it made."""
+    env = parse(src + "\nring := (" + " . ".join(["phil_with_forks"] * n) + ")^c\n")
+    root = ET.fromstring(to_pnml(evaluate(env, "ring")))
+    s = Schema.from_string(resources.files("petrimod").joinpath("schema/ptnet.rng").read_text(encoding="utf-8"))
+    count = 0
+
+    def tracer(frame, event, arg):
+        nonlocal count
+        if frame.f_code.co_filename != rng.__file__:
+            return None
+        count += event == "line"
+        return tracer
+
+    outer = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        s.validate(root)
+    finally:
+        sys.settrace(outer)
+    return count, sum(len(table) for table in s._memo.values())
+
+
+def test_validating_ring_exports_is_flat_work_per_element():
+    src = fixture_path("philosophers.hkl").read_text(encoding="utf-8")
+    short, short_misses = _relaxng_work_validating_ring(src, 100)
+    long, long_misses = _relaxng_work_validating_ring(src, 200)
+    # every memo miss is a schema state, so twice the elements meet no new one
+    assert short_misses == long_misses, (short_misses, long_misses)
+    assert long / short <= 2.2, (short, long)

@@ -3,6 +3,10 @@
 The JSON dump is the round-trip format; DOT and PNML are one-way views.
 Dumps are canonical: nodes and edges sorted, keys sorted, two-space indent,
 trailing newline, so equal modules serialize to equal bytes.
+
+Both writers emit their text directly for their one fixed shape: the bytes
+are those `json.dumps(to_dict(a), indent=2, sort_keys=True)` and ElementTree's
+`indent` plus `tostring` give, which the tests keep as their oracles.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import re
 import xml.etree.ElementTree as ET
 from collections import Counter
 from importlib import resources
+from json.encoder import encode_basestring_ascii as _json_str
 
 from .core import AtomicNodeId, Kind, Module, Node, NodeId
 from .errors import AbstractNodePresent, NotANet, NotBipartite, ParseError, PetrimodError
@@ -61,8 +66,33 @@ def to_dict(a: Module) -> dict:
     }
 
 
+def _json_list(items: list[str]) -> str:
+    # the value of a top-level key; each item comes indented by four spaces
+    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
+
+
+def _json_slots(entries: list[dict]) -> str:
+    return _json_list([
+        f'    {{\n      "id": {_json_str(e["id"])},\n      "index": {e["index"]},\n'
+        f'      "label": {_json_str(e["label"])}\n    }}'
+        for e in entries
+    ])
+
+
 def dumps(a: Module) -> str:
-    return json.dumps(to_dict(a), indent=2, sort_keys=True) + "\n"
+    """`to_dict(a)` as `json.dumps(..., indent=2, sort_keys=True)` writes it,
+    formatted for its fixed shape; strings go through json's own C escaper."""
+    d = to_dict(a)
+    edges = _json_list([f"    [\n      {_json_str(s)},\n      {_json_str(t)}\n    ]" for s, t in d["edges"]])
+    nodes = _json_list([
+        f'    {{\n      "id": {_json_str(n["id"])},\n      "kind": {_json_str(n["kind"])},\n'
+        f'      "label": {_json_str(n["label"])},\n      "tokens": {n["tokens"]}\n    }}'
+        for n in d["nodes"]
+    ])
+    name = "null" if d["name"] is None else _json_str(d["name"])
+    return (f'{{\n  "edges": {edges},\n  "format": {_json_str(d["format"])},\n'
+            f'  "left": {_json_slots(d["left"])},\n  "name": {name},\n  "nodes": {nodes},\n'
+            f'  "right": {_json_slots(d["right"])}\n}}\n')
 
 
 def _node_id(text, where: str) -> NodeId:
@@ -90,18 +120,26 @@ def loads(text: str) -> Module:
         raise ParseError(f"expected format {DUMP_FORMAT!r}, got {data.get('format')!r}")
 
     kinds = {k.value: k for k in Kind}
+    parsed: dict[str, NodeId] = {}  # each id text is parsed once, where it first appears
+
+    def node_id(text, where: str) -> NodeId:
+        nid = parsed.get(text) if isinstance(text, str) else None
+        if nid is None:
+            nid = parsed[text] = _node_id(text, where)
+        return nid
+
     try:
         nodes = []
         marking: dict[NodeId, int] = {}
         for entry in data["nodes"]:
-            nid = _node_id(entry["id"], "nodes")
+            nid = node_id(entry["id"], "nodes")
             if entry["kind"] not in kinds:
                 raise ParseError(f"unknown kind {entry['kind']!r}")
             nodes.append(Node(nid, entry["label"], kinds[entry["kind"]]))
             marking[nid] = entry.get("tokens", 0)
-        edges = [(_node_id(s, "edges"), _node_id(d, "edges")) for s, d in data["edges"]]
-        left = [_node_id(e["id"], "left") for e in data["left"]]
-        right = [_node_id(e["id"], "right") for e in data["right"]]
+        edges = [(node_id(s, "edges"), node_id(d, "edges")) for s, d in data["edges"]]
+        left = [node_id(e["id"], "left") for e in data["left"]]
+        right = [node_id(e["id"], "right") for e in data["right"]]
         module = Module(nodes, edges, left, right, marking, data.get("name"))
     except ParseError:
         raise
@@ -200,14 +238,53 @@ def _pnml_id(nid: NodeId) -> str:
     return f"n-{_ID_SAFE.sub('-', text)[:40]}-{digest}"
 
 
-def _text_child(parent: ET.Element, tag: str, text: str):
-    holder = ET.SubElement(parent, tag)
-    ET.SubElement(holder, "text").text = text
+def _escape_attrib(text: str) -> str:
+    # ElementTree's own attribute escape, the same on Python 3.10 to 3.13
+    if "&" in text:
+        text = text.replace("&", "&amp;")
+    if "<" in text:
+        text = text.replace("<", "&lt;")
+    if ">" in text:
+        text = text.replace(">", "&gt;")
+    if '"' in text:
+        text = text.replace('"', "&quot;")
+    if "\r" in text:
+        text = text.replace("\r", "&#13;")
+    if "\n" in text:
+        text = text.replace("\n", "&#10;")
+    if "\t" in text:
+        text = text.replace("\t", "&#09;")
+    return text
+
+
+def _escape_cdata(text: str) -> str:
+    # ElementTree's own text escape, the same on Python 3.10 to 3.13
+    if "&" in text:
+        text = text.replace("&", "&amp;")
+    if "<" in text:
+        text = text.replace("<", "&lt;")
+    if ">" in text:
+        text = text.replace(">", "&gt;")
+    return text
+
+
+def _text_child(tag: str, text: str, indent: str) -> str:
+    """A <tag><text>text</text></tag> holder opening at `indent`; text is never
+    empty (labels are not, and names and markings are written only when set)."""
+    return f"{indent}<{tag}>\n{indent}  <text>{_escape_cdata(text)}</text>\n{indent}</{tag}>"
+
+
+def _element(start: str, children: list[str], end: str) -> list[str]:
+    # ElementTree writes an element without children as one short empty tag
+    return [start + ">", *children, end] if children else [start + " />"]
 
 
 def to_pnml(a: Module) -> str:
     """Place/transition net XML.  Interfaces have no PNML counterpart and are
-    dropped; the toolspecific block maps sanitized ids back to node ids."""
+    dropped; the toolspecific block maps sanitized ids back to node ids.
+
+    The text is what ElementTree's `indent` and `tostring` make of the
+    document tree, written directly."""
     try:
         view = validate_net(a)
     except (AbstractNodePresent, NotBipartite) as e:
@@ -215,33 +292,41 @@ def to_pnml(a: Module) -> str:
 
     places = sorted(view.places)
     transitions = sorted(view.transitions)
-    ids = {nid: _pnml_id(nid) for nid in places + transitions}
+    ids = {nid: _pnml_id(nid) for nid in places + transitions}  # [A-Za-z0-9_.-]: nothing to escape
 
-    root = ET.Element("pnml", {"xmlns": PNML_NS})
-    net = ET.SubElement(root, "net", {"id": NET_ID, "type": PTNET_TYPE})
-    if a.name:
-        _text_child(net, "name", a.name)
-    tool = ET.SubElement(net, "toolspecific", {"tool": "petrimod", "version": "1"})
-    idmap = ET.SubElement(tool, "pm:idmap", {"xmlns:pm": IDMAP_NS})
-    for nid in places + transitions:
-        ET.SubElement(idmap, "pm:entry", {"pnml": ids[nid], "node": str(nid)})
-    page = ET.SubElement(net, "page", {"id": "page1"})
+    idmap = [f'        <pm:entry pnml="{pid}" node="{_escape_attrib(str(nid))}" />' for nid, pid in ids.items()]
+    page = []
     for p in places:
-        el = ET.SubElement(page, "place", {"id": ids[p]})
-        _text_child(el, "name", a.label_of(p))
+        page += [f'      <place id="{ids[p]}">', _text_child("name", a.label_of(p), "        ")]
         if view.marking.get(p, 0):
-            _text_child(el, "initialMarking", str(view.marking[p]))
+            page.append(_text_child("initialMarking", str(view.marking[p]), "        "))
+        page.append("      </place>")
     for t in transitions:
-        el = ET.SubElement(page, "transition", {"id": ids[t]})
-        _text_child(el, "name", a.label_of(t))
-    for k, (s, d) in enumerate(sorted(view.flow), 1):
-        ET.SubElement(page, "arc", {"id": f"a{k}", "source": ids[s], "target": ids[d]})
+        page += [f'      <transition id="{ids[t]}">', _text_child("name", a.label_of(t), "        "),
+                 "      </transition>"]
+    page += [f'      <arc id="a{k}" source="{ids[s]}" target="{ids[d]}" />'
+             for k, (s, d) in enumerate(sorted(view.flow), 1)]
 
-    ET.indent(root)
-    return '<?xml version="1.0" encoding="UTF-8"?>\n' + ET.tostring(root, encoding="unicode") + "\n"
+    out = ['<?xml version="1.0" encoding="UTF-8"?>',
+           f'<pnml xmlns="{PNML_NS}">',
+           f'  <net id="{NET_ID}" type="{PTNET_TYPE}">']
+    if a.name:
+        out.append(_text_child("name", a.name, "    "))
+    out += ['    <toolspecific tool="petrimod" version="1">',
+            *_element(f'      <pm:idmap xmlns:pm="{IDMAP_NS}"', idmap, "      </pm:idmap>"),
+            "    </toolspecific>",
+            *_element('    <page id="page1"', page, "    </page>"),
+            "  </net>",
+            "</pnml>",
+            ""]
+    return "\n".join(out)
 
 
 _schema: Schema | None = None
+# Above this table size the schema is dropped after validating, and the next
+# call compiles it afresh.  Fixture and random-net exports leave about 650;
+# each level of a nesting deeper than any before adds about 9.
+_SCHEMA_TABLE_BOUND = 10_000
 
 
 def ptnet_schema() -> Schema:
@@ -255,8 +340,14 @@ def ptnet_schema() -> Schema:
 def validate_pnml(text: str) -> None:
     """Schema check plus the two ID semantics RELAX NG leaves out:
     id uniqueness and arc endpoint resolution."""
+    global _schema
     root = ET.fromstring(text)
-    ptnet_schema().validate(root)
+    schema = ptnet_schema()
+    try:
+        schema.validate(root)
+    finally:
+        if schema.table_size() > _SCHEMA_TABLE_BOUND:
+            _schema = None
     ids = [el.get("id") for el in root.iter() if el.get("id") is not None]
     dup = sorted(i for i, count in Counter(ids).items() if count > 1)
     if dup:

@@ -15,7 +15,10 @@ for RELAX NG validation" (2002): equal patterns are one object, and each
 derivative is taken once per schema state.  An attribute value or a text
 enters a memo key only as the set of data, value and attribute leaves that
 accept it, so the tables grow with the states a schema meets, not with the
-number of documents or of elements it validates.
+number of documents or of elements it validates.  The document walk reads
+each step from one of these tables, keyed by the pattern and, for a start
+tag or an attribute, the raw tag or key, and calls the derivatives only when
+that lookup misses.
 
 Datatypes are the xsd library subset used by the schema: string, token,
 NCName, ID, IDREF, anyURI, nonNegativeInteger, positiveInteger.  ID/IDREF
@@ -137,13 +140,17 @@ _MISS = object()
 
 
 def _memoised(derive):
-    """Keep derive's results in its schema's table for it, keyed by the
-    arguments: interned patterns, names and leaf sets, which all hash in C."""
-    def memoised(self, *key):
-        table = self._memo[derive]
+    """Keep derive's results in its schema's table named after it, keyed by
+    the arguments, or by the pattern alone when it is the only one: interned
+    patterns, names and leaf sets, which all hash in C."""
+    name = derive.__name__
+
+    def memoised(self, *args):
+        table = self._memo[name]
+        key = args if len(args) > 1 else args[0]
         out = table.get(key, _MISS)
         if out is _MISS:
-            out = table[key] = derive(self, *key)
+            out = table[key] = derive(self, *args)
         return out
     return memoised
 
@@ -174,6 +181,15 @@ def _collapse(s: str) -> str:
     return " ".join(s.split())
 
 
+def _accept(s: str) -> bool:
+    return True
+
+
+def _equals(value: str):
+    want = _collapse(value)
+    return lambda s: _collapse(s) == want
+
+
 # -- document walk ----------------------------------------------------------------
 
 def _qname(tag: str) -> tuple[str, str]:
@@ -183,11 +199,9 @@ def _qname(tag: str) -> tuple[str, str]:
     return "", tag
 
 
-def _check(p: Pattern, names: list[str], what: str, *args) -> Pattern:
-    # the message is formatted only on failure: what % args
-    if p is _NOT_ALLOWED:
-        raise ValidationError(f"/{'/'.join(names)}: " + what % args)
-    return p
+def _failure(tags: list[str], what: str) -> ValidationError:
+    # tags: the open elements' raw tags, outermost first; the path names their local parts
+    return ValidationError(f"/{'/'.join(_qname(t)[1] for t in tags)}: {what}")
 
 
 # -- schema loading ----------------------------------------------------------------
@@ -252,6 +266,10 @@ class Schema:
 
     def validate_string(self, text: str) -> None:
         self.validate(ET.fromstring(text))
+
+    def table_size(self) -> int:
+        """Interned patterns plus memo entries: the states the schema has met."""
+        return len(self._interned) + sum(map(len, self._memo.values()))
 
     # -- hash-consing constructors; they also keep the derivative small
 
@@ -333,8 +351,15 @@ class Schema:
         wanted = isinstance(p, AttributeP) and p.nc.contains(qn) if qn else isinstance(p, (Data, Value))
         return (p,) if wanted else ()
 
-    def att_deriv(self, p: Pattern, qn: tuple[str, str], value: str) -> Pattern:
-        return self._att_deriv(p, frozenset(a for a in self._leaves(p, qn) if self._value_match(a.p, value)))
+    def _value_tests(self, p: Pattern, qn: tuple[str, str] | None) -> tuple:
+        """(leaf, test) for each of `_leaves(p, qn)`: test(value) says whether the
+        leaf accepts the value.  An attribute whose content is neither text nor
+        data gets None, and the walk asks `_value_match` about its value."""
+        if qn is None:
+            return tuple((x, _DATATYPES[x.type] if isinstance(x, Data) else _equals(x.value))
+                         for x in self._leaves(p, None))
+        return tuple((a, _accept if a.p is _TEXT else _DATATYPES[a.p.type] if isinstance(a.p, Data) else None)
+                     for a in self._leaves(p, qn))
 
     @_memoised
     def _att_deriv(self, p: Pattern, ok: frozenset) -> Pattern:
@@ -369,9 +394,13 @@ class Schema:
         return p
 
     def text_deriv(self, p: Pattern, s: str) -> Pattern:
-        return self._text_deriv(p, frozenset(
-            x for x in self._leaves(p, None)
-            if (_DATATYPES[x.type](s) if isinstance(x, Data) else _collapse(s) == _collapse(x.value))))
+        memo = self._memo
+        tests = memo["text"].get(p)
+        if tests is None:
+            tests = memo["text"][p] = self._value_tests(p, None)
+        ok = frozenset([x for x, test in tests if test(s)])
+        out = memo["_text_deriv"].get((p, ok))
+        return self._text_deriv(p, ok) if out is None else out
 
     @_memoised
     def _text_deriv(self, p: Pattern, ok: frozenset) -> Pattern:
@@ -403,35 +432,79 @@ class Schema:
         The stack holds what is left to visit, next item last: an element,
         non-whitespace text, or an element's end (None).  The After patterns hold
         what follows each open element, so nothing recurses on document depth.
+
+        Each step is one lookup in a table of `_memo`, and the memoised
+        derivatives run only on a miss.  Start tags and attributes have tables
+        of their own, keyed by the pattern and the raw tag or attribute key; an
+        attribute's entry lists the leaves that could accept it with their value
+        tests, and the value picks the derivative.  Close and end tags read the
+        derivatives' own tables, keyed by the pattern.
         """
+        memo = self._memo
+        opens, atts, att_derivs = memo["open_tag"], memo["attribute"], memo["_att_deriv"]
+        closes, ends = memo["start_tag_close_deriv"], memo["end_tag_deriv"]
         p = self.start
-        names: list[str] = []  # the open elements, outermost first
+        tags: list[str] = []  # the open elements, outermost first
         stack: list[ET.Element | str | None] = [root]
         while stack:
             item = stack.pop()
             if item is None:
-                p = _check(self.end_tag_deriv(p), names, "content incomplete")
-                names.pop()
+                q = ends.get(p)
+                if q is None:
+                    q = self.end_tag_deriv(p)
+                if q is _NOT_ALLOWED:
+                    raise _failure(tags, "content incomplete")
+                p = q
+                tags.pop()
             elif isinstance(item, str):
-                p = _check(self.text_deriv(p, item), names, "text %r not allowed", item)
+                q = self.text_deriv(p, item)
+                if q is _NOT_ALLOWED:
+                    raise _failure(tags, f"text {item!r} not allowed")
+                p = q
             else:
-                qn = _qname(item.tag)
-                p = _check(self.start_tag_open_deriv(p, qn), names, "element %r not allowed here", qn[1])
-                names.append(qn[1])
+                tag = item.tag
+                q = opens.get((p, tag))
+                if q is None:
+                    q = opens[p, tag] = self.start_tag_open_deriv(p, _qname(tag))
+                if q is _NOT_ALLOWED:
+                    raise _failure(tags, f"element {_qname(tag)[1]!r} not allowed here")
+                p = q
+                tags.append(tag)
                 for key, value in item.items():
-                    p = _check(self.att_deriv(p, _qname(key), value), names, "attribute %s=%r not allowed", key, value)
-                p = _check(self.start_tag_close_deriv(p), names, "required attribute missing")
+                    tests = atts.get((p, key))
+                    if tests is None:
+                        tests = atts[p, key] = self._value_tests(p, _qname(key))
+                    ok = frozenset([a for a, test in tests if (test(value) if test else self._value_match(a.p, value))])
+                    q = att_derivs.get((p, ok))
+                    if q is None:
+                        q = self._att_deriv(p, ok)
+                    if q is _NOT_ALLOWED:
+                        raise _failure(tags, f"attribute {key}={value!r} not allowed")
+                    p = q
+                q = closes.get(p)
+                if q is None:
+                    q = self.start_tag_close_deriv(p)
+                if q is _NOT_ALLOWED:
+                    raise _failure(tags, "required attribute missing")
+                p = q
                 stack.append(None)
                 if len(item):
                     # mixed content: whitespace between child elements is insignificant
-                    seq: list = [item.text]
-                    for child in item:
-                        seq += (child, child.tail)
-                    stack += [x for x in reversed(seq) if isinstance(x, ET.Element) or (x and not _is_ws(x))]
+                    for child in reversed(item):
+                        if child.tail and child.tail.strip():
+                            stack.append(child.tail)
+                        stack.append(child)
+                    if item.text and item.text.strip():
+                        stack.append(item.text)
                 else:
                     s = item.text or ""
-                    d = self.text_deriv(p, s)
-                    p = self.choice(d, p) if _is_ws(s) else _check(d, names, "text %r not allowed", s)
+                    q = self.text_deriv(p, s)
+                    if not s.strip():
+                        p = self.choice(q, p)
+                    elif q is _NOT_ALLOWED:
+                        raise _failure(tags, f"text {s!r} not allowed")
+                    else:
+                        p = q
         return p
 
 

@@ -1,25 +1,65 @@
+import hashlib
 import json
+import random
 import xml.etree.ElementTree as ET
 
 import pytest
 
-from petrimod import dumps, evaluate, loads, structural_equal, to_dot, to_pnml, validate_pnml
+from petrimod import (Kind, Module, Node, NodeId, dumps, empty_module, evaluate, fixture_path, loads,
+                      parse, structural_equal, to_dot, to_pnml, validate_pnml)
+from petrimod import export
 from petrimod.errors import NotANet, ParseError
-from petrimod.export import DUMP_FORMAT, PNML_NS, to_dict
+from petrimod.export import DUMP_FORMAT, IDMAP_NS, NET_ID, PNML_NS, PTNET_TYPE, to_dict
+from petrimod.generate import random_module, random_net
+from petrimod.nets import net_to_module, validate_net
 from petrimod.relaxng import ValidationError
 
 from conftest import module, node
 
+# Labels and names the writers must escape or pass through untouched.
+HOSTILE = ["&", "<", ">", '"', "'", "a & b < c > d \" e ' f", "\t", "\n", "\r", "\r\n",
+           "é – 漢字 \U0001f600", " ", " \t\n\r ", "&amp; &#10; <![CDATA[x]]>"]
+# Atom fields admit no whitespace, ':' or '+'; everything else may reach an id.
+HOSTILE_ATOM = "&<>\"'é漢"
+
+
+def _hostile_module(k: int, text: str, name) -> Module:
+    place = NodeId.single(HOSTILE_ATOM, f"p{k}")
+    transition = NodeId.single(HOSTILE_ATOM, f"t{k}")
+    nodes = [Node(place, text, Kind.PLACE), Node(transition, text + "!", Kind.TRANSITION)]
+    return Module(nodes, [(place, transition), (transition, place)], [place], [transition], {place: 2}, name)
+
+
+def _hostile_modules() -> list[Module]:
+    return [_hostile_module(k, text, name)
+            for k, text in enumerate(HOSTILE) for name in (None, "", text)]
+
+
+def _dump_cases(phil_env) -> list[Module]:
+    rng = random.Random(5)
+    return ([evaluate(phil_env, "fork"), empty_module()]
+            + [random_module(rng, f"r{k}", name=rng.choice([None, "", "M"])) for k in range(200)]
+            + _hostile_modules())
+
 
 def test_dump_is_canonical(phil_env):
-    m = evaluate(phil_env, "fork")
-    text = dumps(m)
-    assert text.endswith("\n")
-    data = json.loads(text)
-    assert data["format"] == DUMP_FORMAT
-    assert text == json.dumps(data, indent=2, sort_keys=True) + "\n"
-    node_ids = [n["id"] for n in data["nodes"]]
-    assert node_ids == sorted(node_ids)
+    for m in _dump_cases(phil_env):
+        text = dumps(m)
+        assert text.endswith("\n")
+        data = json.loads(text)
+        assert data["format"] == DUMP_FORMAT
+        assert text == json.dumps(data, indent=2, sort_keys=True) + "\n"
+        assert text == json.dumps(to_dict(m), indent=2, sort_keys=True) + "\n"
+        node_ids = [n["id"] for n in data["nodes"]]
+        assert node_ids == sorted(node_ids)
+
+
+def test_hostile_labels_and_names_round_trip():
+    for m in _hostile_modules():
+        text = dumps(m)
+        back = loads(text)
+        assert structural_equal(m, back) and back.name == m.name
+        assert dumps(back) == text
 
 
 def test_dump_round_trip(phil_env):
@@ -169,3 +209,85 @@ def test_validate_pnml_catches_dangling_arc(phil_env):
     page.find(f"{{{PNML_NS}}}arc").set("source", "nowhere")
     with pytest.raises(ValidationError):
         validate_pnml(ET.tostring(root, encoding="unicode"))
+
+
+# -- the PNML writer against ElementTree ------------------------------------------
+
+def _reference_pnml(a: Module) -> str:
+    """to_pnml as it was written before it emitted its text directly: an
+    ElementTree document, indented and serialised by the standard library."""
+    view = validate_net(a)
+    places = sorted(view.places)
+    transitions = sorted(view.transitions)
+    ids = {nid: export._pnml_id(nid) for nid in places + transitions}
+
+    def text_child(parent, tag, text):
+        ET.SubElement(ET.SubElement(parent, tag), "text").text = text
+
+    root = ET.Element("pnml", {"xmlns": PNML_NS})
+    net = ET.SubElement(root, "net", {"id": NET_ID, "type": PTNET_TYPE})
+    if a.name:
+        text_child(net, "name", a.name)
+    tool = ET.SubElement(net, "toolspecific", {"tool": "petrimod", "version": "1"})
+    idmap = ET.SubElement(tool, "pm:idmap", {"xmlns:pm": IDMAP_NS})
+    for nid in places + transitions:
+        ET.SubElement(idmap, "pm:entry", {"pnml": ids[nid], "node": str(nid)})
+    page = ET.SubElement(net, "page", {"id": "page1"})
+    for p in places:
+        el = ET.SubElement(page, "place", {"id": ids[p]})
+        text_child(el, "name", a.label_of(p))
+        if view.marking.get(p, 0):
+            text_child(el, "initialMarking", str(view.marking[p]))
+    for t in transitions:
+        text_child(ET.SubElement(page, "transition", {"id": ids[t]}), "name", a.label_of(t))
+    for k, (s, d) in enumerate(sorted(view.flow), 1):
+        ET.SubElement(page, "arc", {"id": f"a{k}", "source": ids[s], "target": ids[d]})
+    ET.indent(root)
+    return '<?xml version="1.0" encoding="UTF-8"?>\n' + ET.tostring(root, encoding="unicode") + "\n"
+
+
+def test_pnml_bytes_match_the_elementtree_writer(phil_env, prod_env):
+    rng = random.Random(9)
+    nets = [net_to_module(random_net(rng, f"r{k}", max_transitions=6, max_places=8)) for k in range(300)]
+    nets += [m.with_name(rng.choice([None, "", "N"])) for m in nets[:50]]
+    nets += [empty_module(), empty_module().with_name("empty")] + _hostile_modules()
+    for env in (phil_env, prod_env):
+        nets += [evaluate(env, name) for name in env.names()]
+    checked = 0
+    for m in nets:
+        try:
+            doc = to_pnml(m)
+        except NotANet:
+            continue
+        assert doc == _reference_pnml(m), m.name
+        validate_pnml(doc)
+        checked += 1
+    assert checked >= 350 + 3 * len(HOSTILE)
+
+
+@pytest.mark.parametrize("text", HOSTILE + [HOSTILE_ATOM, "", "plain"])
+def test_escapes_are_elementtrees(text):
+    # the writer's own copies of the standard library's escapes: no id or
+    # label reaches every character, so they are compared here directly
+    assert export._escape_attrib(text) == ET._escape_attrib(text)
+    assert export._escape_cdata(text) == ET._escape_cdata(text)
+
+
+# -- bytes pinned across Python versions ------------------------------------------
+
+def test_fixture_exports_are_pinned():
+    # The digest was taken with the writers that went through json.dumps and
+    # ElementTree; CI checks it on every supported Python.
+    h = hashlib.sha256()
+    for fixture in ("philosophers.hkl", "production.hkl"):
+        env = parse(fixture_path(fixture).read_text(encoding="utf-8"))
+        for name in env.names():
+            m = evaluate(env, name)
+            h.update(f"{fixture} {name}\n".encode())
+            h.update(dumps(m).encode())
+            h.update(to_dot(m).encode())
+            try:
+                h.update(to_pnml(m).encode())
+            except NotANet:
+                h.update(b"not a net\n")
+    assert h.hexdigest() == "6f155d649d1e585e1ce3e01d01705a1d95f537de67f1c0a71ff52cb8bfd6ef9f"

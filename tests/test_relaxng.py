@@ -17,7 +17,7 @@ from petrimod import evaluate, fixture_path, parse, to_pnml, validate_pnml
 from petrimod.errors import NotANet
 from petrimod.export import PNML_NS, ptnet_schema
 from petrimod.generate import random_net
-from petrimod import relaxng as rng
+from petrimod import export, relaxng as rng
 from petrimod.nets import net_to_module
 from petrimod.relaxng import Schema, SchemaError, ValidationError
 
@@ -179,6 +179,33 @@ def test_deep_toolspecific_block_validates_without_recursion(phil_env):
     doc = to_pnml(evaluate(phil_env, "phils_in_a_cycle")).replace("<page ", block + "</toolspecific><page ", 1)
     assert sys.getrecursionlimit() <= 1000
     validate_pnml(doc)
+
+
+def _bundled_schema() -> Schema:
+    return Schema.from_string(resources.files("petrimod").joinpath("schema/ptnet.rng").read_text(encoding="utf-8"))
+
+
+def _table_sizes(s: Schema) -> dict:
+    return {"interned": len(s._interned), **{name: len(table) for name, table in s._memo.items()}}
+
+
+@pytest.mark.parametrize("after", ["", "<bogus/>"])
+def test_deep_document_leaves_no_states_in_the_shared_schema(phil_env, after):
+    doc = to_pnml(evaluate(phil_env, "phils_in_a_cycle"))
+    depth = 5000
+    block = '<toolspecific tool="deep" version="1">' + "<d k='v'>" * depth + "leaf" + "</d>" * depth
+    deep = doc.replace("<page ", block + "</toolspecific>" + after + "<page ", 1)
+    if after:  # the walk fails only once the deep block is through
+        with pytest.raises(ValidationError, match="element 'bogus' not allowed here"):
+            validate_pnml(deep)
+    else:
+        validate_pnml(deep)
+    assert export._schema is None  # past the bound, so dropped
+    validate_pnml(doc)
+    fresh = _bundled_schema()
+    fresh.validate_string(doc)
+    assert _table_sizes(ptnet_schema()) == _table_sizes(fresh)
+    assert fresh.table_size() < export._SCHEMA_TABLE_BOUND // 10
 
 
 def test_bad_leaf_below_deep_nesting_reports_its_full_path():
@@ -688,7 +715,7 @@ def _relaxng_work_validating_ring(src: str, n: int) -> tuple[int, int]:
     validates the n-philosopher ring's export, and the memo entries it made."""
     env = parse(src + "\nring := (" + " . ".join(["phil_with_forks"] * n) + ")^c\n")
     root = ET.fromstring(to_pnml(evaluate(env, "ring")))
-    s = Schema.from_string(resources.files("petrimod").joinpath("schema/ptnet.rng").read_text(encoding="utf-8"))
+    s = _bundled_schema()
     count = 0
 
     def tracer(frame, event, arg):

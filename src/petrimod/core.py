@@ -113,8 +113,10 @@ class NodeId(frozenset):
     """Node identity: a non-empty set of atoms, flattened across merges.
 
     Hashing and equality are the atom set's, computed in C, and the hash is
-    cached in the object.  A NodeId equals only another NodeId, never a
-    plain set.  `<` and `>` order ids by `key`; `<=` and `>=` raise.
+    cached in the object.  A NodeId's `==` is True only for another
+    NodeId, but a mutable `set` on the left runs `set.__eq__` first, which
+    accepts any frozenset subclass: `{atom} == NodeId.single(...)` is True.
+    Compare ids with ids.  `<` and `>` order ids by `key`; `<=` and `>=` raise.
     """
 
     # `key`, the sorted (instance, name) pairs, is filled on first use by __getattr__

@@ -162,10 +162,18 @@ def loads(text: str) -> Module:
 # -- Graphviz ------------------------------------------------------------------
 
 _SHAPE = {Kind.PLACE: "circle", Kind.TRANSITION: "box", Kind.ABSTRACT: "box"}
+# a quoted DOT string ends at an unescaped quote; a raw line break becomes
+# Graphviz's centred "\n", so each statement stays on one line
+_DOT_SPECIAL = re.compile(r'[\\"]|\r\n?|\n')
+
+
+def _dot_text(text: str) -> str:
+    """`text` as the inside of a quoted DOT string."""
+    return _DOT_SPECIAL.sub(lambda m: "\\" + m[0] if m[0] in '\\"' else "\\n", text)
 
 
 def _dot_label(a: Module, nid: NodeId) -> str:
-    label = a.label_of(nid)
+    label = _dot_text(a.label_of(nid))
     tokens = a.tokens(nid)
     if not tokens:
         return label
@@ -189,7 +197,7 @@ def to_dot(a: Module, *, title: str | None = None) -> str:
         extra = ' style=rounded' if node.kind is Kind.ABSTRACT else ""
         return f'{vid} [label="{text}" shape={shape}{extra}];'
 
-    lines = [f'digraph "{title or a.name or "module"}" {{', "  rankdir=LR;"]
+    lines = [f'digraph "{_dot_text(title or a.name or "module")}" {{', "  rankdir=LR;"]
     lines.append('  node [fontsize=11 fontname="Helvetica"];')
 
     left_slots = {s.node: s for s in a.left.indexed(a.label_of)}
@@ -198,14 +206,14 @@ def to_dot(a: Module, *, title: str | None = None) -> str:
     lines.append("  { rank=min;")
     for nid in a.left:
         s = left_slots[nid]
-        lines.append("    " + decl(nid, dot_id[nid], f"{s.label}:{s.index}"))
+        lines.append("    " + decl(nid, dot_id[nid], f"{_dot_text(s.label)}:{s.index}"))
     lines.append("  }")
 
     lines.append("  { rank=max;")
     for nid in a.right:
         s = right_slots[nid]
         vid = dot_id[nid] + ("r" if nid in doubled else "")
-        lines.append("    " + decl(nid, vid, f"{s.label}:{s.index}"))
+        lines.append("    " + decl(nid, vid, f"{_dot_text(s.label)}:{s.index}"))
     lines.append("  }")
 
     interior = [nid for nid in order if nid not in left and nid not in right]

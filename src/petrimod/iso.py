@@ -54,39 +54,52 @@ def _interface_positions(side: Interface, label_of) -> dict[NodeId, int]:
 
 
 class _Numbered:
-    """A module's nodes numbered in insertion order, with integer adjacency.
+    """A module as a coloured digraph: nodes numbered in insertion order,
+    integer adjacency, and a start key per node (`keys`).
+
+    In rename mode each abstract label that two or more cores carry becomes a
+    label-class node, numbered after the module's nodes in order of its first
+    core, with an edge from each of its cores.  Any bijection keeping these
+    edges renames core labels consistently and bijectively, so the search
+    never sees the renaming.  A core alone with its label gets no such node.
 
     Adjacency lists are sorted by node number, never taken from the order of
     the edge frozenset, so everything derived from them (colours, search
     order, the witness) is independent of string hashing.
     """
 
-    def __init__(self, m: Module):
+    def __init__(self, m: Module, rename: bool):
         self.ids = list(m.nodes)
         pos = {nid: i for i, nid in enumerate(self.ids)}
-        self.out: list[list[int]] = [[] for _ in self.ids]
-        self.inn: list[list[int]] = [[] for _ in self.ids]
+        classes: dict[str, list[int]] = {}
+        if rename:
+            for i, node in enumerate(m.nodes.values()):
+                if node.kind is Kind.ABSTRACT:
+                    classes.setdefault(node.label, []).append(i)
+        cores = [members for members in classes.values() if len(members) > 1]
+        size = len(self.ids) + len(cores)
+        self.out: list[list[int]] = [[] for _ in range(size)]
+        self.inn: list[list[int]] = [[] for _ in range(size)]
         for s, d in m.edges:
             self.out[pos[s]].append(pos[d])
             self.inn[pos[d]].append(pos[s])
-        for adj in self.out:
-            adj.sort()
-        for adj in self.inn:
+        for c, members in enumerate(cores, len(self.ids)):
+            for i in members:
+                self.out[i].append(c)
+            self.inn[c] = members
+        for adj in self.out + self.inn:
             adj.sort()
         self.out_set = [set(adj) for adj in self.out]
         self.inn_set = [set(adj) for adj in self.inn]
-
-    def start_keys(self, m: Module, rename: bool) -> list[tuple]:
-        """Per node: kind, label ("*" for a renamable core), left and right
-        per-label index (0 when absent), in- and out-degree."""
+        # kind, label ("*" for a renamable core), per-label left and right index (0: absent), degrees
         left = _interface_positions(m.left, m.label_of)
         right = _interface_positions(m.right, m.label_of)
-        keys = []
+        self.keys: list[tuple] = []
         for nid, out, inn in zip(self.ids, self.out, self.inn):
             node = m.nodes[nid]
             label = "*" if rename and node.kind is Kind.ABSTRACT else node.label
-            keys.append((node.kind, label, left.get(nid, 0), right.get(nid, 0), len(inn), len(out)))
-        return keys
+            self.keys.append((node.kind, label, left.get(nid, 0), right.get(nid, 0), len(inn), len(out)))
+        self.keys += [("label", len(members)) for members in cores]
 
 
 def _refine(keys: list, out: list[list[int]], inn: list[list[int]]) -> list[int]:
@@ -122,31 +135,25 @@ class _Search:
     its colour; every other node only to an unmapped node of its colour
     adjacent, in the same edge direction, to the image of its BFS parent
     (the VF2 frontier of Cordella et al., 2004).  Equal colours imply equal
-    kind, label (up to core renaming), interface positions and degrees, so
-    the feasibility check is left with the core renaming and the edges to
-    already mapped nodes.
+    start keys and degrees, so the feasibility check is left with the edges
+    to already mapped nodes.
     """
 
-    def __init__(self, a: Module, b: Module, opts: IsoOptions, budget: int):
-        self.a = a
-        self.b = b
-        self.rename = opts.rename_abstract_cores
+    def __init__(self, ga: _Numbered, gb: _Numbered, budget: int):
+        self.ga = ga
+        self.gb = gb
         self.budget = budget
         self.steps = 0
-        self.ga = _Numbered(a)
-        self.gb = _Numbered(b)
-        self.fwd = [-1] * len(self.ga.ids)
-        self.rev = [-1] * len(self.gb.ids)
-        self.ren: dict[str, str] = {}
-        self.ren_rev: dict[str, str] = {}
+        self.fwd = [-1] * len(ga.out)
+        self.rev = [-1] * len(gb.out)
 
     def colour(self) -> bool:
-        """Refine both modules together; False when the colour histograms differ."""
+        """Refine both graphs together; False when the colour histograms differ."""
         ga, gb = self.ga, self.gb
-        na = len(ga.ids)
+        na = len(ga.out)
         # one node space: b's nodes follow a's
         colours = _refine(
-            ga.start_keys(self.a, self.rename) + gb.start_keys(self.b, self.rename),
+            ga.keys + gb.keys,
             ga.out + [[j + na for j in adj] for adj in gb.out],
             ga.inn + [[j + na for j in adj] for adj in gb.inn],
         )
@@ -155,7 +162,7 @@ class _Search:
         for v, c in enumerate(self.cb):
             self.cells_b.setdefault(c, []).append(v)
         self.cell_size = Counter(self.ca)
-        return all(len(self.cells_b.get(c, ())) == k for c, k in self.cell_size.items())
+        return self.cell_size == Counter(self.cb)
 
     def _order(self) -> tuple[list[int], list[tuple[int, bool] | None]]:
         """BFS order of `a` and, per position, (BFS parent, reached by an out-edge)."""
@@ -192,13 +199,6 @@ class _Search:
 
     def _feasible(self, u: int, v: int) -> bool:
         ga, gb, fwd, rev = self.ga, self.gb, self.fwd, self.rev
-        if self.rename:
-            na, nb = self.a.nodes[ga.ids[u]], self.b.nodes[gb.ids[v]]
-            if na.kind is Kind.ABSTRACT:
-                if self.ren.get(na.label, nb.label) != nb.label:
-                    return False
-                if self.ren_rev.get(nb.label, na.label) != na.label:
-                    return False
         # edges to the already-mapped region must correspond in both directions
         for adj, other in ((ga.out[u], gb.out_set[v]), (ga.inn[u], gb.inn_set[v])):
             for x in adj:
@@ -212,11 +212,11 @@ class _Search:
                     return False
         return True
 
-    def run(self) -> dict[NodeId, NodeId] | None:
+    def run(self) -> list[int] | None:
+        """The image of every node of `a`, or None when no bijection exists."""
         order, link = self._order()
         n = len(order)
         fwd, rev = self.fwd, self.rev
-        renamed: list[str | None] = [None] * n  # the core label bound at each depth
         pools = [self._candidates(order[0], link[0])] if n else []
         tried = [0] * n
         depth = 0
@@ -235,9 +235,6 @@ class _Search:
                 prev = order[depth]
                 rev[fwd[prev]] = -1
                 fwd[prev] = -1
-                if renamed[depth] is not None:
-                    del self.ren_rev[self.ren.pop(renamed[depth])]
-                    renamed[depth] = None
                 continue
             tried[depth] = k + 1
             self.steps += 1
@@ -245,16 +242,10 @@ class _Search:
                 raise SearchBudgetExceeded(f"gave up after {self.budget} candidate expansions")
             v = pool[k]
             fwd[u], rev[v] = v, u
-            if self.rename:
-                na, nb = self.a.nodes[self.ga.ids[u]], self.b.nodes[self.gb.ids[v]]
-                if na.kind is Kind.ABSTRACT and na.label not in self.ren:
-                    self.ren[na.label] = nb.label
-                    self.ren_rev[nb.label] = na.label
-                    renamed[depth] = na.label
             depth += 1
             if depth < n:
                 pools.append(self._candidates(order[depth], link[depth]))
-        return {self.ga.ids[u]: self.gb.ids[v] for u, v in enumerate(fwd)}
+        return fwd
 
 
 def isomorphic(
@@ -272,29 +263,35 @@ def isomorphic(
 
     Both modules are first coloured together by colour refinement, starting
     from kind, label, interface positions and degrees; differing colour
-    histograms answer None without any search.  A backtracking search with
-    an explicit stack then maps `a` breadth-first, drawing each node's
-    candidates from its colour cell next to its BFS parent's image.
-    `budget` caps the number of accepted candidate expansions; running out
-    raises SearchBudgetExceeded, which means unknown rather than
-    non-isomorphic.  Every witness is replayed by `verify_witness` before it
-    is returned.
+    histograms answer None without any search.  In rename mode the cores
+    sharing a label point to one label-class node, so the renaming is graph
+    structure like any edge.  A backtracking search with an explicit stack
+    then maps `a` breadth-first, drawing each node's candidates from its
+    colour cell next to its BFS parent's image.  `budget` caps the number of
+    accepted candidate expansions; running out raises SearchBudgetExceeded,
+    which means unknown rather than non-isomorphic.  Every witness is
+    replayed by `verify_witness` before it is returned.
     """
     opts = options or IsoOptions()
 
     if len(a.nodes) != len(b.nodes) or len(a.edges) != len(b.edges):
         return None
 
-    search = _Search(a, b, opts, budget)
+    ga = _Numbered(a, opts.rename_abstract_cores)
+    gb = _Numbered(b, opts.rename_abstract_cores)
+    search = _Search(ga, gb, budget)
     if not search.colour():
         return None
-    mapping = search.run()
-    if mapping is None:
+    fwd = search.run()
+    if fwd is None:
         return None
+    # zip stops at a's last module node: label-class nodes stay out of the witness
+    mapping = {u: gb.ids[v] for u, v in zip(ga.ids, fwd)}
+    pairs = ((a.nodes[u], b.nodes[v]) for u, v in mapping.items())
     witness = IsoWitness(
         tuple(sorted(mapping.items())),
         # identity bindings constrain the search but are not renames
-        tuple(sorted((x, y) for x, y in search.ren.items() if x != y)),
+        tuple(sorted({(x.label, y.label) for x, y in pairs if x.kind is Kind.ABSTRACT and x.label != y.label})),
     )
     assert verify_witness(a, b, witness, opts), "search returned a witness that fails replay"
     return witness

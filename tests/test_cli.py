@@ -8,6 +8,7 @@ import pytest
 import petrimod
 from petrimod import cli, dumps, evaluate, fixture_path, loads, validate_pnml
 from petrimod.cli import main
+from petrimod.errors import SearchBudgetExceeded
 
 PHIL = str(fixture_path("philosophers.hkl"))
 PROD = str(fixture_path("production.hkl"))
@@ -135,6 +136,24 @@ def test_factorize_refuses_abstract(abstract_file):
     assert main(["factorize", abstract_file, "lump"]) == 1
 
 
+def test_factorize_refuses_isolated_place(tmp_path, capsys):
+    f = tmp_path / "lone.hkl"
+    f.write_text("alphabet { places: a; transitions: s; }\n"
+                 "module m { place n label a; place lone label a; transition v label s; arc n -> v; }\n",
+                 encoding="utf-8")
+    assert main(["factorize", str(f), "m"]) == 1
+    assert capsys.readouterr() == ("", "m: 1 isolated element(s)\n")
+
+
+def test_factorize_budget_undecided(monkeypatch, capsys):
+    def give_up(view):
+        raise SearchBudgetExceeded("gave up")
+
+    monkeypatch.setattr(cli, "factorize", give_up)
+    assert main(["factorize", PHIL, "phils_in_a_cycle"]) == 1
+    assert capsys.readouterr() == ("", "UNDECIDED: search budget exceeded\n")
+
+
 def test_reach_summary(capsys):
     assert main(["reach", PHIL, "phils_in_a_cycle"]) == 0
     out = capsys.readouterr().out
@@ -234,6 +253,13 @@ def test_check_reports_broken_binding(abstract_file, capsys):
     assert "lump: ok" in out
 
 
+def test_check_file_without_bindings(tmp_path, capsys):
+    f = tmp_path / "alphabet_only.hkl"
+    f.write_text("alphabet { places: a; }\n", encoding="utf-8")
+    assert main(["check", str(f)]) == 0
+    assert capsys.readouterr() == ("no bindings\n", "")
+
+
 @pytest.mark.parametrize("argv", [["check"], ["eval", "m"]], ids=["check", "eval"])
 def test_overlong_token_count_is_usage_error(tmp_path, capsys, argv):
     f = tmp_path / "huge.hkl"
@@ -267,6 +293,7 @@ _EVERY_OUTPUT = """\
 import contextlib, io
 from petrimod import fixture_path, parse
 from petrimod.cli import main
+from petrimod.errors import SearchBudgetExceeded
 
 for fixture in ("philosophers.hkl", "production.hkl"):
     path = fixture_path(fixture)

@@ -119,6 +119,8 @@ def test_node_id_equals_only_node_ids():
         assert ab != other and not ab == other
     assert atoms != ab and not atoms == ab and (atoms,) != ab
     assert ab not in {atoms} and atoms not in {ab}
+    # the documented exception: set.__eq__ runs first and accepts any frozenset subclass
+    assert set(atoms) == ab
 
 
 def test_node_id_orders_by_key_only():

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import re
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -160,6 +161,33 @@ def test_dot_empty_module():
 
     dot = to_dot(empty_module())
     assert dot.startswith("digraph") and dot.rstrip().endswith("}")
+
+
+# a DOT line whose quoted strings all close, holding only the escapes to_dot writes
+_DOT_LINE = re.compile(r'(?:[^"\\\r]|"(?:[^"\\\r]|\\[\\"n])*")*')
+
+
+def _unquoted(dot: str) -> list[str]:
+    return [re.sub(r"\\(.)", lambda m: "\n" if m[1] == "n" else m[1], s)
+            for s in re.findall(r'"((?:[^"\\]|\\.)*)"', dot)]
+
+
+def test_dot_quotes_hostile_labels_and_names():
+    assert to_dot(Module([Node(NodeId.single("a", "x"), 'a"b', Kind.PLACE)], name='M"')).splitlines()[0] == (
+        'digraph "M\\"" {')
+    for m in _hostile_modules():
+        # the same nodes without interfaces: interior labels with token dots
+        for variant in (m, Module(m.nodes.values(), m.edges, marking=m.marking, name=m.name)):
+            dot = to_dot(variant)
+            for line in dot.split("\n"):
+                assert _DOT_LINE.fullmatch(line), line
+            texts = _unquoted(dot)
+            place, transition = (re.sub(r"\r\n?", "\n", n.label) for n in m.nodes.values())
+            assert texts[0] == re.sub(r"\r\n?", "\n", m.name or "module")
+            if variant is m:
+                assert {place + ":1", transition + ":1"} <= set(texts)
+            else:
+                assert {place + "\n" + "&#9679;" * 2, transition} <= set(texts)
 
 
 def test_pnml_exports_validate(phil_env, prod_env):

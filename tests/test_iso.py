@@ -13,6 +13,8 @@ from petrimod import (
     IsoWitness,
     Kind,
     Module,
+    Node,
+    NodeId,
     abstract_of,
     closure,
     compose,
@@ -215,6 +217,55 @@ def test_search_agrees_with_brute_force(opts):
                 assert verify_witness(a, b, witness, opts)
             verdicts.append(expected)
     assert verdicts.count(True) >= 100 and verdicts.count(False) >= 100
+
+
+def graph(tag, n, arcs, label="p"):
+    """n nodes of one label joined by the given arcs."""
+    ns = [node(tag, f"v{i}", label) for i in range(n)]
+    return module(ns, edges=[(ns[s].id, ns[d].id) for s, d in arcs])
+
+
+def symmetric(pairs):
+    return [arc for s, d in pairs for arc in ((s, d), (d, s))]
+
+
+K33 = symmetric([(i, j) for i in range(3) for j in range(3, 6)])
+PRISM = symmetric([(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3), (1, 4), (2, 5)])
+C6 = [(i, (i + 1) % 6) for i in range(6)]
+TWO_C3 = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]
+
+
+@pytest.mark.parametrize("arcs_a, arcs_b", [(K33, PRISM), (C6, TWO_C3)], ids=["k33-prism", "c6-two-c3"])
+def test_pairs_colour_refinement_cannot_separate(arcs_a, arcs_b):
+    # every node has the same label and degrees, so colour refinement leaves
+    # one cell on each side and only the search's edge checks tell them apart
+    a, b = graph("a", 6, arcs_a), graph("b", 6, arcs_b)
+    for x, y in ((a, b), (b, a)):
+        assert isomorphic(x, y) is None
+        assert not brute_force_isomorphic(x, y, IsoOptions())
+        copy = y.retagged("c")
+        witness = isomorphic(y, copy)
+        assert witness is not None and verify_witness(y, copy, witness)
+
+
+def cores(tag, labels):
+    return module([Node(NodeId.single(tag, f"c{i}"), label, Kind.ABSTRACT) for i, label in enumerate(labels)])
+
+
+@pytest.mark.parametrize("labels, renaming", [
+    ("pqr", None),
+    ("pqq", (("x", "q"), ("y", "p"))),
+])
+def test_rename_mode_isolated_cores(labels, renaming):
+    opts = IsoOptions(rename_abstract_cores=True)
+    a, b = cores("a", "xxy"), cores("b", labels)
+    witness = isomorphic(a, b, opts)
+    assert brute_force_isomorphic(a, b, opts) == (renaming is not None)
+    if renaming is None:
+        assert witness is None
+    else:
+        assert witness is not None and witness.label_renaming == renaming
+        assert verify_witness(a, b, witness, opts)
 
 
 def _ring(env, seat_parts, n):

@@ -62,6 +62,7 @@ class _Numbered:
     core, with an edge from each of its cores.  Any bijection keeping these
     edges renames core labels consistently and bijectively, so the search
     never sees the renaming.  A core alone with its label gets no such node.
+    A core's start key holds its class size, saving refinement a round.
 
     Adjacency lists are sorted by node number, never taken from the order of
     the edge frozenset, so everything derived from them (colours, search
@@ -91,14 +92,13 @@ class _Numbered:
             adj.sort()
         self.out_set = [set(adj) for adj in self.out]
         self.inn_set = [set(adj) for adj in self.inn]
-        # kind, label ("*" for a renamable core), per-label left and right index (0: absent), degrees
+        # kind, label (class size for a renamable core), per-label left and right index (0: absent), degrees
         left = _interface_positions(m.left, m.label_of)
         right = _interface_positions(m.right, m.label_of)
         self.keys: list[tuple] = []
-        for nid, out, inn in zip(self.ids, self.out, self.inn):
-            node = m.nodes[nid]
-            label = "*" if rename and node.kind is Kind.ABSTRACT else node.label
-            self.keys.append((node.kind, label, left.get(nid, 0), right.get(nid, 0), len(inn), len(out)))
+        for node, out, inn in zip(m.nodes.values(), self.out, self.inn):
+            label = len(classes[node.label]) if rename and node.kind is Kind.ABSTRACT else node.label
+            self.keys.append((node.kind, label, left.get(node.id, 0), right.get(node.id, 0), len(inn), len(out)))
         self.keys += [("label", len(members)) for members in cores]
 
 

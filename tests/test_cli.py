@@ -288,19 +288,19 @@ def test_binding_named_like_a_label_is_usage_error(tmp_path, capsys, argv):
 
 
 # Runs in a fresh interpreter: every binding of both fixtures through eval,
-# factorize and a capped reach, and iso for every ordered pair of bindings.
+# factorize and a capped reach, and iso with and without --rename-cores for
+# every ordered pair of bindings.
 _EVERY_OUTPUT = """\
 import contextlib, io
 from petrimod import fixture_path, parse
 from petrimod.cli import main
-from petrimod.errors import SearchBudgetExceeded
 
 for fixture in ("philosophers.hkl", "production.hkl"):
     path = fixture_path(fixture)
     names = parse(path.read_text(encoding="utf-8")).names()
     runs = [[cmd, name, *extra] for name in names
             for cmd, *extra in (["eval"], ["factorize"], ["reach", "--max-markings", "500"])]
-    runs += [["iso", a, b] for a in names for b in names]
+    runs += [["iso", a, b, *extra] for a in names for b in names for extra in ([], ["--rename-cores"])]
     for cmd, *rest in runs:
         out = io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):

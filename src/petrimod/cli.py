@@ -139,10 +139,11 @@ def _cmd_factorize(args) -> int:
     except SearchBudgetExceeded:
         raise _Failure(1, "UNDECIDED: search budget exceeded") from None
     print(f"atoms: {len(result.atoms)}")
-    for atom in result.atoms:
-        t = next(iter(atom.interior()))
-        pre = sum(1 for s, d in atom.edges if d == t)
-        post = sum(1 for s, d in atom.edges if s == t)
+    # atoms are in sorted transition order, under fresh ids: the label comes from the net
+    for t, atom in zip(sorted(view.transitions), result.atoms):
+        (inner,) = atom.interior()
+        pre = sum(1 for s, d in atom.edges if d == inner)
+        post = sum(1 for s, d in atom.edges if s == inner)
         print(f"  [{module.label_of(t)}] {pre} in, {post} out")
     verdict = "yes" if result.matches else "NO"
     print(f"recomposition isomorphic to original: {verdict}")

@@ -148,6 +148,10 @@ class NodeId(frozenset):
     def merge(self, other: "NodeId") -> "NodeId":
         return NodeId(self | other)
 
+    def retagged(self, prefix: str) -> "NodeId":
+        """The same atoms with every instance namespaced under `prefix`."""
+        return NodeId(AtomicNodeId(f"{prefix}/{a.instance}", a.name) for a in self)
+
     def __eq__(self, other: object):
         if isinstance(other, NodeId):
             return frozenset.__eq__(self, other)
@@ -341,10 +345,7 @@ class Module:
         Labels, kinds, structure and markings are untouched, so the copy is
         isomorphic to the original but atom-disjoint from it.
         """
-        remap: dict[NodeId, NodeId] = {
-            nid: NodeId(AtomicNodeId(f"{prefix}/{a.instance}", a.name) for a in nid.atoms)
-            for nid in self.nodes
-        }
+        remap = {nid: nid.retagged(prefix) for nid in self.nodes}
         return Module(
             [Node(remap[n.id], n.label, n.kind) for n in self.nodes.values()],
             [(remap[s], remap[d]) for s, d in self.edges],

@@ -54,8 +54,8 @@ def _interface_positions(side: Interface, label_of) -> dict[NodeId, int]:
 
 
 class _Numbered:
-    """A module as a coloured digraph: nodes numbered in insertion order,
-    integer adjacency, and a start key per node (`keys`).
+    """A module as a coloured digraph: nodes numbered in insertion order and
+    a start key per node (`keys`).
 
     In rename mode each abstract label that two or more cores carry becomes a
     label-class node, numbered after the module's nodes in order of its first
@@ -64,27 +64,48 @@ class _Numbered:
     never sees the renaming.  A core alone with its label gets no such node.
     A core's start key holds its class size, saving refinement a round.
 
-    Adjacency lists are sorted by node number, never taken from the order of
-    the edge frozenset, so everything derived from them (colours, search
-    order, the witness) is independent of string hashing.
+    A key is (kind, label or class size, per-label left and right index with
+    0 for absent, in-degree, out-degree), counted from the edge set; a
+    label-class node's key is ("label", class size).  The integer adjacency
+    (`out`, `inn` and their sets) is built by `link`, which only the search
+    calls.  Adjacency lists are sorted by node number, never taken from the
+    order of the edge frozenset, so everything derived from them (colours,
+    search order, the witness) is independent of string hashing.
     """
 
     def __init__(self, m: Module, rename: bool):
+        self.module = m
         self.ids = list(m.nodes)
-        pos = {nid: i for i, nid in enumerate(self.ids)}
         classes: dict[str, list[int]] = {}
         if rename:
             for i, node in enumerate(m.nodes.values()):
                 if node.kind is Kind.ABSTRACT:
                     classes.setdefault(node.label, []).append(i)
-        cores = [members for members in classes.values() if len(members) > 1]
-        size = len(self.ids) + len(cores)
+        self.cores = [members for members in classes.values() if len(members) > 1]
+        left = _interface_positions(m.left, m.label_of)
+        right = _interface_positions(m.right, m.label_of)
+        outdeg = Counter(s for s, _ in m.edges)
+        indeg = Counter(d for _, d in m.edges)
+        self.keys: list[tuple] = []
+        for nid, node in m.nodes.items():
+            label, out = node.label, outdeg[nid]
+            if rename and node.kind is Kind.ABSTRACT:
+                label = len(classes[label])
+                out += label > 1  # the edge to its label-class node
+            self.keys.append((node.kind, label, left.get(nid, 0), right.get(nid, 0), indeg[nid], out))
+        self.keys += [("label", len(members)) for members in self.cores]
+
+    def link(self) -> None:
+        """Build the sorted integer adjacency lists and their sets."""
+        m = self.module
+        pos = {nid: i for i, nid in enumerate(self.ids)}
+        size = len(self.keys)
         self.out: list[list[int]] = [[] for _ in range(size)]
         self.inn: list[list[int]] = [[] for _ in range(size)]
         for s, d in m.edges:
             self.out[pos[s]].append(pos[d])
             self.inn[pos[d]].append(pos[s])
-        for c, members in enumerate(cores, len(self.ids)):
+        for c, members in enumerate(self.cores, len(self.ids)):
             for i in members:
                 self.out[i].append(c)
             self.inn[c] = members
@@ -92,14 +113,6 @@ class _Numbered:
             adj.sort()
         self.out_set = [set(adj) for adj in self.out]
         self.inn_set = [set(adj) for adj in self.inn]
-        # kind, label (class size for a renamable core), per-label left and right index (0: absent), degrees
-        left = _interface_positions(m.left, m.label_of)
-        right = _interface_positions(m.right, m.label_of)
-        self.keys: list[tuple] = []
-        for node, out, inn in zip(m.nodes.values(), self.out, self.inn):
-            label = len(classes[node.label]) if rename and node.kind is Kind.ABSTRACT else node.label
-            self.keys.append((node.kind, label, left.get(node.id, 0), right.get(node.id, 0), len(inn), len(out)))
-        self.keys += [("label", len(members)) for members in cores]
 
 
 def _refine(keys: list, out: list[list[int]], inn: list[list[int]]) -> list[int]:
@@ -144,6 +157,8 @@ class _Search:
         self.gb = gb
         self.budget = budget
         self.steps = 0
+        ga.link()
+        gb.link()
         self.fwd = [-1] * len(ga.out)
         self.rev = [-1] * len(gb.out)
 
@@ -261,16 +276,23 @@ def isomorphic(
     renaming), edges in both directions, and interface membership with side
     and per-label index.  Markings are not compared.
 
-    Both modules are first coloured together by colour refinement, starting
-    from kind, label, interface positions and degrees; differing colour
-    histograms answer None without any search.  In rename mode the cores
-    sharing a label point to one label-class node, so the renaming is graph
-    structure like any edge.  A backtracking search with an explicit stack
-    then maps `a` breadth-first, drawing each node's candidates from its
-    colour cell next to its BFS parent's image.  `budget` caps the number of
-    accepted candidate expansions; running out raises SearchBudgetExceeded,
-    which means unknown rather than non-isomorphic.  Every witness is
-    replayed by `verify_witness` before it is returned.
+    Every node first gets a start key from kind, label, interface positions
+    and degrees.  Keys are isomorphism invariants, so when no key repeats
+    within `a` nor within `b` the only possible bijection maps each node to
+    the node of the same key: differing key sets answer None, and otherwise
+    `verify_witness` replaying that one mapping is the answer.  This path
+    runs no refinement and no search, and uses no budget.
+
+    Otherwise both modules are coloured together by colour refinement from
+    those keys; differing colour histograms answer None without any search.
+    In rename mode the cores sharing a label point to one label-class node,
+    so the renaming is graph structure like any edge.  A backtracking search
+    with an explicit stack then maps `a` breadth-first, drawing each node's
+    candidates from its colour cell next to its BFS parent's image.
+    `budget` caps the number of accepted candidate expansions; running out
+    raises SearchBudgetExceeded, which means unknown rather than
+    non-isomorphic.  Every witness is replayed by `verify_witness` before it
+    is returned.
     """
     opts = options or IsoOptions()
 
@@ -279,32 +301,44 @@ def isomorphic(
 
     ga = _Numbered(a, opts.rename_abstract_cores)
     gb = _Numbered(b, opts.rename_abstract_cores)
+    keys_a = set(ga.keys)
+    by_key = {key: v for v, key in enumerate(gb.keys)}
+    if len(keys_a) == len(ga.keys) and len(by_key) == len(gb.keys):
+        # both start colourings are discrete: the bijection is forced, if any
+        if keys_a != by_key.keys():
+            return None
+        witness = _witness(a, b, ga, gb, [by_key[key] for key in ga.keys])
+        return witness if verify_witness(a, b, witness, opts) else None
+
     search = _Search(ga, gb, budget)
     if not search.colour():
         return None
     fwd = search.run()
     if fwd is None:
         return None
+    witness = _witness(a, b, ga, gb, fwd)
+    assert verify_witness(a, b, witness, opts), "search returned a witness that fails replay"
+    return witness
+
+
+def _witness(a: Module, b: Module, ga: _Numbered, gb: _Numbered, fwd: list[int]) -> IsoWitness:
+    """The witness of the node images `fwd`, sorted by `a`'s node ids."""
     # zip stops at a's last module node: label-class nodes stay out of the witness
     mapping = {u: gb.ids[v] for u, v in zip(ga.ids, fwd)}
     pairs = ((a.nodes[u], b.nodes[v]) for u, v in mapping.items())
-    witness = IsoWitness(
+    return IsoWitness(
         tuple(sorted(mapping.items())),
         # identity bindings constrain the search but are not renames
         tuple(sorted({(x.label, y.label) for x, y in pairs if x.kind is Kind.ABSTRACT and x.label != y.label})),
     )
-    assert verify_witness(a, b, witness, opts), "search returned a witness that fails replay"
-    return witness
 
 
 def verify_witness(a: Module, b: Module, witness: IsoWitness, options: IsoOptions | None = None) -> bool:
     """Replay a witness slot-by-slot and edge-by-edge against both modules."""
     opts = options or IsoOptions()
     mapping = dict(witness.mapping)
-
-    if set(mapping) != set(a.nodes) or set(mapping.values()) != set(b.nodes):
-        return False
-    if len(set(mapping.values())) != len(mapping):
+    image = set(mapping.values())
+    if mapping.keys() != a.nodes.keys() or len(image) != len(mapping) or image != b.nodes.keys():
         return False
 
     ren: dict[str, str] = {}
@@ -321,11 +355,16 @@ def verify_witness(a: Module, b: Module, witness: IsoWitness, options: IsoOption
         elif na.label != nb.label:
             return False
 
-    if {(mapping[s], mapping[d]) for s, d in a.edges} != set(b.edges):
+    # an injective mapping sends a's edges to as many distinct pairs
+    if len(a.edges) != len(b.edges):
         return False
+    for s, d in a.edges:
+        if (mapping[s], mapping[d]) not in b.edges:
+            return False
 
+    # the mapping is injective, so equal sizes and every image at its index make equal slot sets
     for a_side, b_side in ((a.left, b.left), (a.right, b.right)):
-        if {mapping[n] for n in a_side} != set(b_side.slots):
+        if len(a_side) != len(b_side):
             return False
         b_pos = _interface_positions(b_side, b.label_of)
         for slot in a_side.indexed(a.label_of):

@@ -94,19 +94,29 @@ def transition_atom(n: NetView, t: NodeId) -> Module:
     return _atom(t, n.pre(t), n.post(t))
 
 
-def _atom(t: NodeId, pre: Collection[NodeId], post: Collection[NodeId]) -> Module:
+def _atom(t: NodeId, pre: Collection[NodeId], post: Collection[NodeId], tag: str | None = None) -> Module:
+    """The atom of `t`; with a `tag`, its node ids are minted retagged under
+    `tag`, so the atom is ready to compose with atoms of other tags."""
     ring = tuple(sorted({*pre, *post}))
     if not ring:
         raise IsolatedElement([t], f"transition {t} has no surrounding places")
-    nodes = [Node(t, str(t), Kind.TRANSITION)]
-    nodes += [Node(p, str(p), Kind.PLACE) for p in ring]
-    edges = {(p, t) for p in pre} | {(t, p) for p in post}
-    return Module(nodes, edges, ring, ring)
+    mint = {nid: nid if tag is None else nid.retagged(tag) for nid in (t, *ring)}
+    nodes = [Node(mint[t], str(t), Kind.TRANSITION)]
+    nodes += [Node(mint[p], str(p), Kind.PLACE) for p in ring]
+    edges = {(mint[p], mint[t]) for p in pre} | {(mint[t], mint[p]) for p in post}
+    places = [mint[p] for p in ring]
+    return Module(nodes, edges, places, places)
 
 
 @dataclass(frozen=True)
 class Factorization:
-    """Transition atoms of a net plus the outcome of recomposing them."""
+    """Transition atoms of a net plus the outcome of recomposing them.
+
+    `atoms` are the modules that were composed, in canonical transition
+    order: the i-th (from 1) has every atom instance tagged `f{i}/`, so the
+    atoms are pairwise atom-disjoint and their ids are not the net's.  Their
+    labels are the net ids' text.
+    """
 
     atoms: tuple[Module, ...]
     recomposed: Module
@@ -118,12 +128,14 @@ class Factorization:
 def factorize(n: NetView) -> Factorization:
     """Split a net into its transition atoms and check they compose back to it.
 
-    Atoms are ordered by canonical transition id.  The recomposition composes
-    fresh copies of the atoms (composition operands must be atom-disjoint,
-    while the atoms themselves share places); identity labels then merge
-    shared places back together.  The result is compared against the net's
-    monolithic module up to isomorphism, which is the right equivalence
-    because merged copies carry union identities.
+    Atoms are ordered by canonical transition id.  Composition operands must
+    be atom-disjoint while the atoms share places, so the i-th atom is built
+    under the instance tag `f{i}/`; identity labels then merge shared places
+    back together.  The result is compared against the net's monolithic
+    module up to isomorphism, which is the right equivalence because merged
+    copies carry union identities.  With identity labels no start key
+    repeats, so `isomorphic` replays the one mapping the labels allow and
+    runs no search.
     """
     pre, post = adjacency(n)
     isolated = sorted(n.places - {p for e in n.flow for p in e})
@@ -131,8 +143,8 @@ def factorize(n: NetView) -> Factorization:
     if isolated:
         raise IsolatedElement(isolated)
 
-    atoms = tuple(_atom(t, pre[t], post[t]) for t in sorted(n.transitions))
-    recomposed = compose(*(atom.retagged(f"f{i}") for i, atom in enumerate(atoms, start=1)))
+    atoms = tuple(_atom(t, pre[t], post[t], f"f{i}") for i, t in enumerate(sorted(n.transitions), start=1))
+    recomposed = compose(*atoms)
     reference = net_to_module(n)
     witness = isomorphic(recomposed, reference, IsoOptions())
     return Factorization(atoms, recomposed, reference, witness is not None, witness)

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -310,17 +311,22 @@ for fixture in ("philosophers.hkl", "production.hkl"):
 """
 
 
+# SHA-256 and size of _EVERY_OUTPUT's stdout; any change to a fixture output changes them
+_EVERY_OUTPUT_SHA256 = "fe3cad03c5267c6b94812b6923c477f70f7f6588fc44f08f94db416e292e1f18"
+_EVERY_OUTPUT_BYTES = 121_059
+
+
 def test_outputs_do_not_depend_on_the_hash_seed():
     # string hashes, and so NodeId hashes and set order, are salted per process
     src = str(Path(petrimod.__file__).resolve().parents[1])
     outs = []
     for seed in ("1", "2"):
         env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
-        proc = subprocess.run([sys.executable, "-c", _EVERY_OUTPUT], env=env, capture_output=True,
-                              text=True, check=True)
+        proc = subprocess.run([sys.executable, "-c", _EVERY_OUTPUT], env=env, capture_output=True, check=True)
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
-    assert outs[0].count("ISOMORPHIC\n") > 10 and "recomposition isomorphic to original: yes" in outs[0]
+    assert outs[0].count(b"ISOMORPHIC\n") > 10 and b"recomposition isomorphic to original: yes" in outs[0]
+    assert (len(outs[0]), hashlib.sha256(outs[0]).hexdigest()) == (_EVERY_OUTPUT_BYTES, _EVERY_OUTPUT_SHA256)
 
 
 def test_selftest_runs_all_laws(capsys):

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import petrimod
+from petrimod import iso
 from petrimod import (
     IsoOptions,
     IsoWitness,
@@ -23,12 +24,13 @@ from petrimod import (
     fixture_path,
     instantiate,
     isomorphic,
+    net_to_module,
     structural_equal,
     validate_net,
     verify_witness,
 )
 from petrimod.errors import SearchBudgetExceeded
-from petrimod.generate import random_module
+from petrimod.generate import random_module, random_net
 
 from conftest import module, node
 
@@ -119,12 +121,32 @@ def test_witness_replay_rejects_tampering(phil_env):
     assert not verify_witness(a, b, swapped)
 
 
-def test_budget_exhaustion_raises():
+def test_witness_replay_rejects_extra_slots_and_edges():
+    # every image of `a` fits in `b`, but `b` has more: a slot on each side, an edge
+    x, y = node("a", "x", "alpha"), node("a", "y", "beta")
+    a = module([x, y], edges=[(x.id, y.id)])
+    identity = IsoWitness(((x.id, x.id), (y.id, y.id)))
+    assert verify_witness(a, a, identity)
+    for b in (
+        module([x, y], edges=[(x.id, y.id)], left=[x.id]),
+        module([x, y], edges=[(x.id, y.id)], right=[y.id]),
+        module([x, y], edges=[(x.id, y.id), (y.id, x.id)]),
+    ):
+        assert not verify_witness(a, b, identity)
+        assert verify_witness(b, b, identity)
+
+
+def test_budget_exhaustion_raises(monkeypatch):
+    built = []
+    search = iso._Search
+    monkeypatch.setattr(iso, "_Search", lambda *args: built.append(args) or search(*args))
     labels = ["alpha"] * 9
     a = module([node("a", f"n{i}", lab) for i, lab in enumerate(labels)])
     b = module([node("b", f"n{i}", lab) for i, lab in enumerate(labels)])
     with pytest.raises(SearchBudgetExceeded):
         isomorphic(a, b, budget=3)
+    # repeated start keys, so the budgeted search ran
+    assert len(built) == 1
 
 
 def test_index_anchoring_distinguishes_line_variants(prod_env):
@@ -309,3 +331,104 @@ def test_cli_witness_independent_of_hash_seed():
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
     assert outputs[0].startswith("ISOMORPHIC\n")
+
+
+def searched(a, b):
+    """The reference engine: refinement and search on the pair, as
+    `isomorphic` runs them when some start key repeats."""
+    ga, gb = iso._Numbered(a, False), iso._Numbered(b, False)
+    search = iso._Search(ga, gb, 1_000_000)
+    fwd = search.run() if search.colour() else None
+    return None if fwd is None else iso._witness(a, b, ga, gb, fwd)
+
+
+def unique_keys(m):
+    keys = iso._Numbered(m, False).keys
+    return len(set(keys)) == len(keys)
+
+
+def swapped_targets(m, rng):
+    """Two edges exchange their targets; degrees, and so start keys, stay."""
+    edges = sorted(m.edges)
+    i, j = rng.sample(range(len(edges)), 2)
+    (s1, d1), (s2, d2) = edges[i], edges[j]
+    edges[i], edges[j] = (s1, d2), (s2, d1)
+    return Module(m.nodes, edges, m.left, m.right, m.marking, m.name)
+
+
+def swapped_left(m, rng):
+    slots = list(m.left)
+    i, j = rng.sample(range(len(slots)), 2)
+    slots[i], slots[j] = slots[j], slots[i]
+    return Module(m.nodes, m.edges, slots, m.right, m.marking, m.name)
+
+
+def forced_pairs(rng, trial):
+    a = net_to_module(random_net(rng, f"n{trial}", max_transitions=8, max_places=10))
+    copy = shuffled(a.retagged("r"), rng)
+    yield a, copy
+    if len(copy.edges) > 1:
+        yield a, swapped_targets(copy, rng)
+    if len(copy.left) > 1:
+        yield a, swapped_left(copy, rng)
+
+
+def test_forced_path_agrees_with_the_search():
+    # identity labels make every start key unique, so `isomorphic` never
+    # searches these pairs; the reference engine must give the same answer
+    rng = random.Random(4711)
+    verdicts = []
+    replayed_apart = 0  # sizes agree, so only the replay can say no
+    trial = 0
+    while len(verdicts) < 3000:
+        for a, b in forced_pairs(rng, trial):
+            assert unique_keys(a) and unique_keys(b)
+            witness = isomorphic(a, b)
+            assert witness == searched(a, b), (a, b)
+            verdicts.append(witness is not None)
+            replayed_apart += witness is None and len(a.edges) == len(b.edges)
+        trial += 1
+    assert verdicts.count(True) >= 2000 and replayed_apart >= 500
+
+
+def _broken_by_force():
+    # four nodes, four labels: the keys agree, but x -> y, z -> w in `a`
+    # against x -> w, z -> y in `b`, so the one label-keeping bijection loses both edges
+    labels = (("x", "alpha"), ("y", "beta"), ("z", "gamma"), ("w", "delta"))
+    a_ns = [node("a", n, lab) for n, lab in labels]
+    b_ns = [node("b", n, lab) for n, lab in labels]
+    a = module(a_ns, edges=[(a_ns[0].id, a_ns[1].id), (a_ns[2].id, a_ns[3].id)])
+    b = module(b_ns, edges=[(b_ns[0].id, b_ns[3].id), (b_ns[2].id, b_ns[1].id)])
+    return a, b
+
+
+def test_forced_mapping_that_breaks_an_edge_is_none():
+    a, b = _broken_by_force()
+    assert unique_keys(a) and unique_keys(b)
+    assert sorted(iso._Numbered(a, False).keys) == sorted(iso._Numbered(b, False).keys)
+    assert isomorphic(a, b) is None
+    assert searched(a, b) is None
+    assert not brute_force_isomorphic(a, b, IsoOptions())
+
+
+def test_forced_mapping_is_checked_without_asserts():
+    # under -O every assert is gone: the forced path must still decide by replay
+    tests = str(Path(__file__).resolve().parent)
+    src = str(Path(petrimod.__file__).resolve().parents[1])
+    script = "from test_iso import _broken_by_force\nfrom petrimod import isomorphic\nprint(isomorphic(*_broken_by_force()))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join((tests, src))}
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "None\n"
+
+
+def test_unique_keys_never_search(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the search ran on unique start keys")
+
+    monkeypatch.setattr(iso, "_Search", refuse)
+    a = net_to_module(random_net(random.Random(5), "n"))
+    copy = a.retagged("r")
+    witness = isomorphic(a, copy)
+    assert witness is not None and verify_witness(a, copy, witness)
+    assert isomorphic(*_broken_by_force()) is None

@@ -4,11 +4,13 @@ import pytest
 
 from petrimod import (
     Kind,
+    Module,
     NodeId,
     evaluate,
     factorize,
     is_monolithic,
     net_to_module,
+    structural_equal,
     transition_atom,
     validate_net,
 )
@@ -132,3 +134,19 @@ def test_factorize_random_sweep():
     rng = random.Random(99)
     for _ in range(30):
         assert factorize(random_net(rng, "n", max_transitions=6, max_places=8)).matches
+
+
+def test_factorize_composes_its_tagged_atoms_without_retagging(monkeypatch):
+    def refuse(self, prefix):
+        raise AssertionError("factorize retagged a module")
+
+    n = random_net(random.Random(12), "n")
+    ts = sorted(n.transitions)
+    want = [transition_atom(n, t).retagged(f"f{i}") for i, t in enumerate(ts, start=1)]
+    monkeypatch.setattr(Module, "retagged", refuse)
+    result = factorize(n)
+    assert result.matches
+    # the atoms are the composed operands: the retagged atoms of the net, in transition order
+    assert len(result.atoms) == len(want)
+    for atom, expected in zip(result.atoms, want):
+        assert structural_equal(atom, expected)

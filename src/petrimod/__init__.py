@@ -16,7 +16,6 @@ from .core import (
     AtomicNodeId,
     HarmonicPair,
     Interface,
-    InterfaceSlot,
     Kind,
     Module,
     Node,
@@ -40,7 +39,7 @@ from . import errors
 __version__ = "0.1.0"
 
 __all__ = [
-    "Alphabet", "AtomicNodeId", "HarmonicPair", "Interface", "InterfaceSlot",
+    "Alphabet", "AtomicNodeId", "HarmonicPair", "Interface",
     "Kind", "Module", "Node", "NodeId",
     "abstract_of", "closure", "compose", "empty_module", "harmonic_pairs",
     "is_monolithic", "seam", "verify_well_formed",

@@ -235,10 +235,13 @@ def _cmd_check(args) -> int:
 # -- selftest --------------------------------------------------------------------
 
 def _cmd_selftest(args) -> int:
-    if args.seed is not None:
-        seed = args.seed
-    else:
-        seed = int(os.environ.get("HERAKLIT_SEED", DEFAULT_SEED))
+    seed = args.seed
+    if seed is None:
+        text = os.environ.get("HERAKLIT_SEED", str(DEFAULT_SEED))
+        try:
+            seed = int(text)
+        except ValueError:
+            raise _Failure(2, f"HERAKLIT_SEED must be an integer, got {text!r}") from None
     print(f"seed: {seed}")
     failed = 0
     for name, law in LAWS.items():

@@ -22,7 +22,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     KindMismatch,
@@ -39,7 +39,6 @@ __all__ = [
     "NodeId",
     "Node",
     "Interface",
-    "InterfaceSlot",
     "HarmonicPair",
     "Module",
     "harmonic_pairs",
@@ -183,12 +182,6 @@ class Node:
             raise MalformedModule(f"node {self.id}: label must be a non-empty string, got {self.label!r}")
 
 
-class InterfaceSlot(NamedTuple):
-    node: NodeId
-    label: str
-    index: int
-
-
 @dataclass(frozen=True)
 class Interface:
     """Ordered slot sequence; a node may fill at most one slot per interface."""
@@ -212,21 +205,16 @@ class Interface:
     def __getitem__(self, i: int) -> NodeId:
         return self.slots[i]
 
-    def indexed(self, label_of: Callable[[NodeId], str]) -> tuple[InterfaceSlot, ...]:
-        """Slots with their labels and derived per-label indices (1..n top-down)."""
+    def indexed(self, label_of: Callable[[NodeId], str]) -> dict[NodeId, tuple[str, int]]:
+        """Each slot's node to its label and derived per-label index (1..n
+        top-down), in slot order."""
         seen: dict[str, int] = {}
-        out = []
+        out = {}
         for nid in self.slots:
             label = label_of(nid)
             seen[label] = seen.get(label, 0) + 1
-            out.append(InterfaceSlot(nid, label, seen[label]))
-        return tuple(out)
-
-    def index_of(self, nid: NodeId, label_of: Callable[[NodeId], str]) -> int:
-        for slot in self.indexed(label_of):
-            if slot.node == nid:
-                return slot.index
-        raise KeyError(nid)
+            out[nid] = label, seen[label]
+        return out
 
     def labels(self, label_of: Callable[[NodeId], str]) -> tuple[str, ...]:
         return tuple(label_of(nid) for nid in self.slots)
@@ -245,8 +233,8 @@ class HarmonicPair:
 def _pair_slots(xs: Interface, ys: Interface, label_of: Callable) -> list[tuple]:
     """The pairing rule: (label, index, x, y) for every slot x of `xs` and y
     of `ys` with equal label and equal per-label index, sorted by (label, index)."""
-    by_key = {(label, i): y for y, label, i in ys.indexed(label_of)}
-    return sorted((label, i, x, by_key[label, i]) for x, label, i in xs.indexed(label_of) if (label, i) in by_key)
+    by_key = {key: y for y, key in ys.indexed(label_of).items()}
+    return sorted((*key, x, by_key[key]) for x, key in xs.indexed(label_of).items() if key in by_key)
 
 
 def harmonic_pairs(
@@ -438,7 +426,7 @@ def compose(*parts: Module) -> Module:
             shared = atoms.intersection(part.atom_set)
             if shared:
                 raise NonDisjointOperands(shared)
-            for nid, label, i in sorted(part.left.indexed(part.label_of), key=itemgetter(1, 2)):
+            for nid, (label, i) in sorted(part.left.indexed(part.label_of).items(), key=itemgetter(1)):
                 if chain.get(label):  # entry i of the label's deque, at the front once 1..i-1 are popped
                     x, y = chain[label].popleft(), part.nodes[nid]
                     if x.kind is not y.kind:

@@ -49,8 +49,8 @@ NET_ID = "net1"  # the one net of every document
 def to_dict(a: Module) -> dict:
     def side(interface):
         return [
-            {"id": str(slot.node), "label": slot.label, "index": slot.index}
-            for slot in interface.indexed(a.label_of)
+            {"id": str(nid), "label": label, "index": i}
+            for nid, (label, i) in interface.indexed(a.label_of).items()
         ]
 
     return {
@@ -150,11 +150,11 @@ def loads(text: str) -> Module:
 
     for side_name, interface, stated in (("left", module.left, data["left"]),
                                          ("right", module.right, data["right"])):
-        for slot, entry in zip(interface.indexed(module.label_of), stated):
-            if entry.get("label") != slot.label or entry.get("index") != slot.index:
+        for (nid, (label, i)), entry in zip(interface.indexed(module.label_of).items(), stated):
+            if entry.get("label") != label or entry.get("index") != i:
                 raise ParseError(
                     f"{side_name} interface states {entry.get('label')}:{entry.get('index')} "
-                    f"for {slot.node}, derived {slot.label}:{slot.index}"
+                    f"for {nid}, derived {label}:{i}"
                 )
     return module
 
@@ -200,20 +200,15 @@ def to_dot(a: Module, *, title: str | None = None) -> str:
     lines = [f'digraph "{_dot_text(title or a.name or "module")}" {{', "  rankdir=LR;"]
     lines.append('  node [fontsize=11 fontname="Helvetica"];')
 
-    left_slots = {s.node: s for s in a.left.indexed(a.label_of)}
-    right_slots = {s.node: s for s in a.right.indexed(a.label_of)}
-
     lines.append("  { rank=min;")
-    for nid in a.left:
-        s = left_slots[nid]
-        lines.append("    " + decl(nid, dot_id[nid], f"{_dot_text(s.label)}:{s.index}"))
+    for nid, (label, i) in a.left.indexed(a.label_of).items():
+        lines.append("    " + decl(nid, dot_id[nid], f"{_dot_text(label)}:{i}"))
     lines.append("  }")
 
     lines.append("  { rank=max;")
-    for nid in a.right:
-        s = right_slots[nid]
+    for nid, (label, i) in a.right.indexed(a.label_of).items():
         vid = dot_id[nid] + ("r" if nid in doubled else "")
-        lines.append("    " + decl(nid, vid, f"{_dot_text(s.label)}:{s.index}"))
+        lines.append("    " + decl(nid, vid, f"{_dot_text(label)}:{i}"))
     lines.append("  }")
 
     interior = [nid for nid in order if nid not in left and nid not in right]
@@ -332,8 +327,8 @@ def to_pnml(a: Module) -> str:
 
 _schema: Schema | None = None
 # Above this table size the schema is dropped after validating, and the next
-# call compiles it afresh.  Fixture and random-net exports leave about 650;
-# each level of a nesting deeper than any before adds about 9.
+# call compiles it afresh.  Fixture and random-net exports leave about 610;
+# each level of a nesting deeper than any before adds about 7.
 _SCHEMA_TABLE_BOUND = 10_000
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .core import Interface, Kind, Module, NodeId
+from .core import Kind, Module, NodeId
 from .errors import SearchBudgetExceeded
 
 __all__ = ["IsoOptions", "IsoWitness", "structural_equal", "isomorphic", "verify_witness"]
@@ -49,8 +49,7 @@ def structural_equal(a: Module, b: Module) -> bool:
     )
 
 
-def _interface_positions(side: Interface, label_of) -> dict[NodeId, int]:
-    return {slot.node: slot.index for slot in side.indexed(label_of)}
+_NO_SLOT = ("", 0)  # the (label, index) of a node outside an interface
 
 
 class _Numbered:
@@ -82,8 +81,8 @@ class _Numbered:
                 if node.kind is Kind.ABSTRACT:
                     classes.setdefault(node.label, []).append(i)
         self.cores = [members for members in classes.values() if len(members) > 1]
-        left = _interface_positions(m.left, m.label_of)
-        right = _interface_positions(m.right, m.label_of)
+        left = m.left.indexed(m.label_of)
+        right = m.right.indexed(m.label_of)
         outdeg = Counter(s for s, _ in m.edges)
         indeg = Counter(d for _, d in m.edges)
         self.keys: list[tuple] = []
@@ -92,7 +91,9 @@ class _Numbered:
             if rename and node.kind is Kind.ABSTRACT:
                 label = len(classes[label])
                 out += label > 1  # the edge to its label-class node
-            self.keys.append((node.kind, label, left.get(nid, 0), right.get(nid, 0), indeg[nid], out))
+            # the index alone: in rename mode a slot's label may be a core's
+            index_l, index_r = left.get(nid, _NO_SLOT)[1], right.get(nid, _NO_SLOT)[1]
+            self.keys.append((node.kind, label, index_l, index_r, indeg[nid], out))
         self.keys += [("label", len(members)) for members in self.cores]
 
     def link(self) -> None:
@@ -354,6 +355,9 @@ def verify_witness(a: Module, b: Module, witness: IsoWitness, options: IsoOption
                 return False
         elif na.label != nb.label:
             return False
+    # the renaming the mapping induces, empty outside rename mode, is the only one accepted
+    if sorted(witness.label_renaming) != sorted((x, y) for x, y in ren.items() if x != y):
+        return False
 
     # an injective mapping sends a's edges to as many distinct pairs
     if len(a.edges) != len(b.edges):
@@ -366,8 +370,8 @@ def verify_witness(a: Module, b: Module, witness: IsoWitness, options: IsoOption
     for a_side, b_side in ((a.left, b.left), (a.right, b.right)):
         if len(a_side) != len(b_side):
             return False
-        b_pos = _interface_positions(b_side, b.label_of)
-        for slot in a_side.indexed(a.label_of):
-            if b_pos.get(mapping[slot.node]) != slot.index:
+        b_slots = b_side.indexed(b.label_of)
+        for nid, (_, i) in a_side.indexed(a.label_of).items():
+            if b_slots.get(mapping[nid], _NO_SLOT)[1] != i:
                 return False
     return True

@@ -325,41 +325,39 @@ class Schema:
         raise AssertionError(f"apply_after on {type(p).__name__}")
 
     @_memoised
-    def start_tag_open_deriv(self, p: Pattern, qn: tuple[str, str]) -> Pattern:
+    def start_tag_open_deriv(self, p: Pattern, tag: str) -> Pattern:
+        """The derivative of p by the start of an element with the raw tag `tag`."""
         if isinstance(p, Choice):
-            return self.choice(self.start_tag_open_deriv(p.p1, qn), self.start_tag_open_deriv(p.p2, qn))
+            return self.choice(self.start_tag_open_deriv(p.p1, tag), self.start_tag_open_deriv(p.p2, tag))
         if isinstance(p, ElementP):
-            return self.after(p.p, _EMPTY) if p.nc.contains(qn) else _NOT_ALLOWED
+            return self.after(p.p, _EMPTY) if p.nc.contains(_qname(tag)) else _NOT_ALLOWED
         if isinstance(p, After):
-            return self.apply_after(lambda x: self.after(x, p.p2), self.start_tag_open_deriv(p.p1, qn))
+            return self.apply_after(lambda x: self.after(x, p.p2), self.start_tag_open_deriv(p.p1, tag))
         if isinstance(p, Group):
-            x = self.apply_after(lambda q: self.group(q, p.p2), self.start_tag_open_deriv(p.p1, qn))
-            return self.choice(x, self.start_tag_open_deriv(p.p2, qn)) if self.nullable(p.p1) else x
+            x = self.apply_after(lambda q: self.group(q, p.p2), self.start_tag_open_deriv(p.p1, tag))
+            return self.choice(x, self.start_tag_open_deriv(p.p2, tag)) if self.nullable(p.p1) else x
         if isinstance(p, OneOrMore):
             rest = self.choice(p, _EMPTY)
-            return self.apply_after(lambda q: self.group(q, rest), self.start_tag_open_deriv(p.p, qn))
+            return self.apply_after(lambda q: self.group(q, rest), self.start_tag_open_deriv(p.p, tag))
         return _NOT_ALLOWED
 
     @_memoised
-    def _leaves(self, p: Pattern, qn: tuple[str, str] | None) -> tuple[Pattern, ...]:
-        """The leaves of p whose verdict on a value the attribute derivative by qn
-        (attributes named qn) or, for qn None, the text derivative (data, values) reads."""
+    def _value_tests(self, p: Pattern, key: str | None) -> tuple:
+        """(leaf, test) for each leaf of p that the attribute derivative by the raw
+        attribute `key` reads, or for key None the text derivative (data, values):
+        test(value) says whether the leaf accepts the value.  An attribute whose
+        content is neither text nor data gets None, and the walk asks `_value_match`."""
         if isinstance(p, (Choice, Group)):
-            return self._leaves(p.p1, qn) + self._leaves(p.p2, qn)
+            return self._value_tests(p.p1, key) + self._value_tests(p.p2, key)
         if isinstance(p, (After, OneOrMore)):
-            return self._leaves(p.p1 if isinstance(p, After) else p.p, qn)
-        wanted = isinstance(p, AttributeP) and p.nc.contains(qn) if qn else isinstance(p, (Data, Value))
-        return (p,) if wanted else ()
-
-    def _value_tests(self, p: Pattern, qn: tuple[str, str] | None) -> tuple:
-        """(leaf, test) for each of `_leaves(p, qn)`: test(value) says whether the
-        leaf accepts the value.  An attribute whose content is neither text nor
-        data gets None, and the walk asks `_value_match` about its value."""
-        if qn is None:
-            return tuple((x, _DATATYPES[x.type] if isinstance(x, Data) else _equals(x.value))
-                         for x in self._leaves(p, None))
-        return tuple((a, _accept if a.p is _TEXT else _DATATYPES[a.p.type] if isinstance(a.p, Data) else None)
-                     for a in self._leaves(p, qn))
+            return self._value_tests(p.p1 if isinstance(p, After) else p.p, key)
+        if key is None:
+            if isinstance(p, Data):
+                return ((p, _DATATYPES[p.type]),)
+            return ((p, _equals(p.value)),) if isinstance(p, Value) else ()
+        if isinstance(p, AttributeP) and p.nc.contains(_qname(key)):
+            return ((p, _accept if p.p is _TEXT else _DATATYPES[p.p.type] if isinstance(p.p, Data) else None),)
+        return ()
 
     @_memoised
     def _att_deriv(self, p: Pattern, ok: frozenset) -> Pattern:
@@ -395,9 +393,9 @@ class Schema:
 
     def text_deriv(self, p: Pattern, s: str) -> Pattern:
         memo = self._memo
-        tests = memo["text"].get(p)
+        tests = memo["_value_tests"].get((p, None))
         if tests is None:
-            tests = memo["text"][p] = self._value_tests(p, None)
+            tests = self._value_tests(p, None)
         ok = frozenset([x for x, test in tests if test(s)])
         out = memo["_text_deriv"].get((p, ok))
         return self._text_deriv(p, ok) if out is None else out
@@ -433,15 +431,15 @@ class Schema:
         non-whitespace text, or an element's end (None).  The After patterns hold
         what follows each open element, so nothing recurses on document depth.
 
-        Each step is one lookup in a table of `_memo`, and the memoised
-        derivatives run only on a miss.  Start tags and attributes have tables
-        of their own, keyed by the pattern and the raw tag or attribute key; an
-        attribute's entry lists the leaves that could accept it with their value
-        tests, and the value picks the derivative.  Close and end tags read the
-        derivatives' own tables, keyed by the pattern.
+        Each step is one lookup in a memoised derivative's own table in `_memo`,
+        and the derivative runs only on a miss.  Start tags are keyed by the
+        pattern and the raw tag, close and end tags by the pattern.  An
+        attribute looks up `_value_tests` by the pattern and the raw key, for
+        the leaves that could accept it with their value tests, and the value
+        picks the derivative.
         """
         memo = self._memo
-        opens, atts, att_derivs = memo["open_tag"], memo["attribute"], memo["_att_deriv"]
+        opens, atts, att_derivs = memo["start_tag_open_deriv"], memo["_value_tests"], memo["_att_deriv"]
         closes, ends = memo["start_tag_close_deriv"], memo["end_tag_deriv"]
         p = self.start
         tags: list[str] = []  # the open elements, outermost first
@@ -465,7 +463,7 @@ class Schema:
                 tag = item.tag
                 q = opens.get((p, tag))
                 if q is None:
-                    q = opens[p, tag] = self.start_tag_open_deriv(p, _qname(tag))
+                    q = self.start_tag_open_deriv(p, tag)
                 if q is _NOT_ALLOWED:
                     raise _failure(tags, f"element {_qname(tag)[1]!r} not allowed here")
                 p = q
@@ -473,7 +471,7 @@ class Schema:
                 for key, value in item.items():
                     tests = atts.get((p, key))
                     if tests is None:
-                        tests = atts[p, key] = self._value_tests(p, _qname(key))
+                        tests = self._value_tests(p, key)
                     ok = frozenset([a for a, test in tests if (test(value) if test else self._value_match(a.p, value))])
                     q = att_derivs.get((p, ok))
                     if q is None:

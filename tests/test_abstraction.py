@@ -50,7 +50,7 @@ def test_interior_collapses_to_one_core():
     # interfaces are copied verbatim
     assert abs_a.left.slots == a.left.slots
     assert abs_a.right.slots == a.right.slots
-    fmt = lambda iface: [(s.label, s.index) for s in iface.indexed(abs_a.label_of)]
+    fmt = lambda iface: list(iface.indexed(abs_a.label_of).values())
     assert fmt(abs_a.left) == [("beta", 1), ("gamma", 1)]
     assert fmt(abs_a.right) == [("delta", 1), ("gamma", 1), ("gamma", 2)]
     # star edges only
@@ -120,7 +120,7 @@ def test_seam_merges_shared_interface_places(prod_env):
     assert len(merged) == 1
     assert s.label_of(merged[0]) == "product"
     assert merged[0] in s.interior()
-    fmt = lambda iface: [(sl.label, sl.index) for sl in iface.indexed(s.label_of)]
+    fmt = lambda iface: list(iface.indexed(s.label_of).values())
     assert fmt(s.left) == [("material", 1)]
     assert fmt(s.right) == [("parcel", 1)]
 

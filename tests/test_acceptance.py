@@ -174,22 +174,22 @@ def test_criterion_07_philosopher_behavior():
 def test_criterion_08_interface_multiplicities():
     env = parse(fixture_path("production.hkl").read_text(encoding="utf-8"))
     two = evaluate(env, "two_steps")
-    sides_ok = [(s.label, s.index) for s in two.left.indexed(two.label_of)] == [
+    sides_ok = list(two.left.indexed(two.label_of).values()) == [
         ("material", 1),
         ("material", 2),
-    ] and [(s.label, s.index) for s in two.right.indexed(two.label_of)] == [
+    ] and list(two.right.indexed(two.label_of).values()) == [
         ("product", 1),
         ("product", 2),
     ]
 
     grouped = evaluate(env, "line_grouped")
     mixed = evaluate(env, "line_mixed")
-    grouped_ok = [(s.label, s.index) for s in grouped.right.indexed(grouped.label_of)] == [
+    grouped_ok = list(grouped.right.indexed(grouped.label_of).values()) == [
         ("parcel", 1),
         ("parcel", 2),
         ("product", 1),
     ]
-    mixed_ok = [(s.label, s.index) for s in mixed.right.indexed(mixed.label_of)] == [
+    mixed_ok = list(mixed.right.indexed(mixed.label_of).values()) == [
         ("product", 1),
         ("parcel", 1),
         ("parcel", 2),
@@ -215,8 +215,8 @@ def test_criterion_09_well_formedness_everywhere():
             return
         for side in (m.left, m.right):
             per_label = {}
-            for slot in side.indexed(m.label_of):
-                per_label.setdefault(slot.label, []).append(slot.index)
+            for label, i in side.indexed(m.label_of).values():
+                per_label.setdefault(label, []).append(i)
             if any(idx != list(range(1, len(idx) + 1)) for idx in per_label.values()):
                 bad += 1
 

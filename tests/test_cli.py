@@ -359,6 +359,15 @@ def test_selftest_default_seed(capsys, monkeypatch):
     assert "seed: 1105" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("value", ["abc", ""])
+def test_selftest_bad_env_seed_is_a_usage_error(capsys, monkeypatch, value):
+    monkeypatch.setenv("HERAKLIT_SEED", value)
+    assert main(["selftest", "--trials", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"HERAKLIT_SEED must be an integer, got {value!r}\n"
+
+
 def test_missing_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main([])

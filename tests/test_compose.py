@@ -39,7 +39,7 @@ from conftest import module, node
 
 
 def _sides(m):
-    fmt = lambda iface: [(s.label, s.index) for s in iface.indexed(m.label_of)]
+    fmt = lambda iface: list(iface.indexed(m.label_of).values())
     return fmt(m.left), fmt(m.right)
 
 

@@ -15,7 +15,7 @@ def test_per_label_indices_count_up_in_slot_order():
     ns = [node("r", f"n{i}", lab) for i, lab in enumerate(["alpha", "beta", "alpha", "alpha"])]
     iface = Interface(tuple(n.id for n in ns))
     slots = iface.indexed(_label_map(*ns))
-    assert [(s.label, s.index) for s in slots] == [
+    assert list(slots.values()) == [
         ("alpha", 1), ("beta", 1), ("alpha", 2), ("alpha", 3),
     ]
 
@@ -30,7 +30,7 @@ def test_index_of_and_labels():
     ns = [node("r", "a", "alpha"), node("r", "b", "beta")]
     iface = Interface((ns[0].id, ns[1].id))
     label_of = _label_map(*ns)
-    assert iface.index_of(ns[1].id, label_of) == 1
+    assert iface.indexed(label_of)[ns[1].id] == ("beta", 1)
     assert iface.labels(label_of) == ("alpha", "beta")
 
 

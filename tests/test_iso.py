@@ -170,7 +170,8 @@ def test_cycles_isomorphic(phil_env):
 
 def brute_force_isomorphic(a, b, opts):
     """Reference verdict: try every bijection that keeps (kind, label) classes,
-    with abstract labels pooled in rename mode, and replay each one."""
+    with abstract labels pooled in rename mode, and replay each one with the
+    core renaming it induces."""
 
     def classes(m):
         out = {}
@@ -185,7 +186,8 @@ def brute_force_isomorphic(a, b, opts):
     keys = sorted(ca)
     for images in itertools.product(*(itertools.permutations(cb[k]) for k in keys)):
         mapping = tuple((u, v) for k, image in zip(keys, images) for u, v in zip(ca[k], image))
-        if verify_witness(a, b, IsoWitness(mapping), opts):
+        renaming = {(a.label_of(u), b.label_of(v)) for u, v in mapping if a.kind_of(u) is Kind.ABSTRACT}
+        if verify_witness(a, b, IsoWitness(mapping, tuple((x, y) for x, y in renaming if x != y)), opts):
             return True
     return False
 
@@ -288,6 +290,40 @@ def test_rename_mode_isolated_cores(labels, renaming):
     else:
         assert witness is not None and witness.label_renaming == renaming
         assert verify_witness(a, b, witness, opts)
+
+
+def test_replay_accepts_only_the_induced_renaming():
+    opts = IsoOptions(rename_abstract_cores=True)
+    a, b = cores("a", ["alpha"]), cores("b", ["beta"])
+    witness = isomorphic(a, b, opts)
+    assert witness.label_renaming == (("alpha", "beta"),)
+    assert verify_witness(a, b, witness, opts)
+    assert not verify_witness(a, b, IsoWitness(witness.mapping, (("gamma", "delta"),)), opts)
+    assert not verify_witness(a, b, IsoWitness(witness.mapping), opts)
+    # outside rename mode no renaming is induced, so none is accepted
+    identity = IsoWitness(tuple((u, u) for u in a.nodes))
+    assert verify_witness(a, a, identity)
+    assert not verify_witness(a, a, IsoWitness(identity.mapping, (("alpha", "zeta"),)))
+
+
+@pytest.mark.parametrize("places", [0, 2], ids=["unique-keys", "search"])
+def test_rename_mode_core_on_an_interface(monkeypatch, places):
+    # the start key holds a slot's index, not its label, which is the core's own
+    built = []
+    search = iso._Search
+    monkeypatch.setattr(iso, "_Search", lambda *args: built.append(args) or search(*args))
+    opts = IsoOptions(rename_abstract_cores=True)
+
+    def side(tag, label):
+        ns = [Node(NodeId.single(tag, "core"), label, Kind.ABSTRACT)]
+        ns += [node(tag, f"p{i}", "p") for i in range(places)]
+        return module(ns, left=[ns[0].id])
+
+    a, b = side("a", "alpha"), side("b", "beta")
+    witness = isomorphic(a, b, opts)
+    assert len(built) == (places > 0)
+    assert witness is not None and witness.label_renaming == (("alpha", "beta"),)
+    assert verify_witness(a, b, witness, opts)
 
 
 def _ring(env, seat_parts, n):

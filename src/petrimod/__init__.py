@@ -33,7 +33,7 @@ from .dsl import Environment, evaluate, instantiate, parse
 from .export import dumps, loads, to_dot, to_pnml, validate_pnml
 from .iso import IsoOptions, IsoWitness, isomorphic, structural_equal, verify_witness
 from .nets import Factorization, NetView, factorize, net_to_module, transition_atom, validate_net
-from .sim import ReachGraph, check_invariant, enabled, fire, reachability
+from .sim import Clause, Invariant, ReachGraph, check_invariant, enabled, fire, reachability
 from . import errors
 
 __version__ = "0.1.0"
@@ -47,7 +47,7 @@ __all__ = [
     "dumps", "loads", "to_dot", "to_pnml", "validate_pnml",
     "IsoOptions", "IsoWitness", "isomorphic", "structural_equal", "verify_witness",
     "Factorization", "NetView", "factorize", "net_to_module", "transition_atom", "validate_net",
-    "ReachGraph", "check_invariant", "enabled", "fire", "reachability",
+    "Clause", "Invariant", "ReachGraph", "check_invariant", "enabled", "fire", "reachability",
     "errors", "fixture_path",
 ]
 

@@ -9,7 +9,6 @@ unbound name).
 from __future__ import annotations
 
 import argparse
-import operator
 import os
 import random
 import re
@@ -31,7 +30,7 @@ from .export import dumps, to_dot, to_pnml
 from .iso import IsoOptions, isomorphic
 from .laws import LAWS
 from .nets import NetView, factorize, validate_net
-from .sim import MAX_MARKINGS, MAX_TOKENS_PER_PLACE, check_invariant, reachability
+from .sim import MAX_MARKINGS, MAX_TOKENS_PER_PLACE, Clause, Invariant, check_invariant, reachability
 
 DEFAULT_SEED = 1105
 
@@ -151,11 +150,10 @@ def _cmd_factorize(args) -> int:
 
 
 _CLAUSE = re.compile(r"(sum|max)\(([A-Za-z_][A-Za-z0-9_]*)\)\s*(<=|>=|==|!=|<|>)\s*([0-9]+)\Z")
-_OPS = {"<=": operator.le, ">=": operator.ge, "==": operator.eq,
-        "!=": operator.ne, "<": operator.lt, ">": operator.gt}
 
 
-def _compile_invariant(text: str, module: Module, view: NetView):
+def _parse_invariant(text: str, module: Module, view: NetView) -> Invariant:
+    """`sum(label) <= k and max(label) < k ...`, each label standing for its places."""
     by_label: dict[str, list] = {}
     for p in view.places:
         by_label.setdefault(module.label_of(p), []).append(p)
@@ -171,32 +169,23 @@ def _compile_invariant(text: str, module: Module, view: NetView):
             raise _Failure(2, f"invariant bound too long ({len(num)} digits)") from None
         if label not in by_label:
             raise _Failure(2, f"invariant names unknown place label {label!r}")
-        clauses.append((agg, by_label[label], _OPS[op], num))
-
-    def pred(marking) -> bool:
-        for agg, places, op, num in clauses:
-            counts = [marking.get(p, 0) for p in places]
-            value = sum(counts) if agg == "sum" else max(counts, default=0)
-            if not op(value, num):
-                return False
-        return True
-
-    return pred
+        clauses.append(Clause(agg, by_label[label], op, num))
+    return Invariant(clauses)
 
 
 def _cmd_reach(args) -> int:
     module = _evaluate(_load(args.file), args.name)
     view = _as_net(module, args.name)
-    # compiled first: a usage error costs no sweep and prints nothing on stdout
-    pred = None if args.invariant is None else _compile_invariant(args.invariant, module, view)
+    # parsed first: a usage error costs no sweep and prints nothing on stdout
+    invariant = None if args.invariant is None else _parse_invariant(args.invariant, module, view)
     graph = reachability(view, max_markings=args.max_markings,
                          max_tokens_per_place=args.max_tokens)
     print(f"markings: {len(graph)}")
     print(f"arcs: {len(graph.arcs)}")
     print(f"truncated: {'yes' if graph.truncated else 'no'}")
-    if pred is None:
+    if invariant is None:
         return 0
-    hit = check_invariant(graph, pred)
+    hit = check_invariant(graph, invariant)
     if hit is None:
         note = " (truncated sweep, result is partial)" if graph.truncated else ""
         print(f"invariant holds over {len(graph)} markings{note}")

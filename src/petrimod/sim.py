@@ -13,6 +13,12 @@ adding guard - 1 sets a field's guard bit exactly when its count is at least
 1, and adding guard - 1 - cap sets it exactly when the count exceeds the cap.
 Counts are at most max(cap, initial) + 1 while a successor is being tested,
 so no field carries into the next.
+
+Each reached state that is not yet expanded keeps its enabled transitions as
+one int with a bit per transition id.  A new state starts from its parent's
+bits and re-tests only the transitions that consume a place the fired
+transition changed.  An `Invariant` of `sum`/`max` clauses is evaluated on
+the packed states through one field mask per clause.
 """
 
 from __future__ import annotations
@@ -20,16 +26,18 @@ from __future__ import annotations
 import operator
 from array import array
 from bisect import bisect_right
+from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import compress, pairwise
-from typing import Callable, Iterator, Mapping, NamedTuple
+from typing import Callable, Collection, Iterable, Iterator, Mapping, NamedTuple
 
 from .core import NodeId
 from .errors import NotEnabled, UnknownTransition
 from .nets import NetView, adjacency
 
-__all__ = ["Marking", "ReachGraph", "Counterexample", "enabled", "fire", "reachability", "check_invariant"]
+__all__ = ["Marking", "ReachGraph", "Counterexample", "Clause", "Invariant", "enabled", "fire", "reachability",
+           "check_invariant"]
 
 Marking = dict[NodeId, int]
 
@@ -134,6 +142,16 @@ class ReachGraph:
         counts = self._counts(i)
         return dict(zip(compress(self.places, counts), filter(None, counts)))
 
+    def _markings(self) -> Iterator[Marking]:
+        """Every state's marking in discovery order, decoded inline."""
+        if self._width != 1:
+            yield from map(self.marking, range(len(self._states)))
+            return
+        places, size = self.places, len(self.places)
+        for s in self._states:
+            raw = s.to_bytes(size, "little")
+            yield dict(zip(compress(places, raw), raw.translate(None, b"\0")))
+
     def path_to(self, i: int) -> tuple[NodeId, ...]:
         """Transitions of one shortest firing sequence from state 0 to state i."""
         # a state's parent found it from the BFS layer before its own
@@ -158,7 +176,6 @@ def reachability(
     max_tokens_per_place: int = MAX_TOKENS_PER_PLACE,
 ) -> ReachGraph:
     places = tuple(sorted(n.places))
-    index = {p: i for i, p in enumerate(places)}
     transitions = tuple(sorted(n.transitions))
     pre_places, post_places = adjacency(n)
     start_vec = _as_vector(places, n.marking if initial is None else initial)
@@ -170,20 +187,35 @@ def reachability(
     bits = 8 * width
     guard = 1 << (bits - 1)
 
-    def ones(indices) -> int:  # 1 in the lowest bit of each listed place's field
-        return sum(1 << (bits * i) for i in indices)
-
-    every = ones(range(len(places)))
+    unit = {p: 1 << (bits * i) for i, p in enumerate(places)}  # the lowest bit of each field
+    every = sum(unit.values())
     # a bit above every field: `over` sets it alone when even zero tokens exceed the cap
     top = 1 << (bits * len(places))
     guards = every * guard | top
     over = top if max_tokens_per_place < 0 else every * (guard - 1 - max_tokens_per_place)
 
-    moves = []  # (id, guard - 1 per pre-place, guard bits of the pre-places, post - pre)
+    # enabledness of u reads only u's pre-places, so firing t can change it
+    # only when u consumes a place t changes: one in pre(t) △ post(t)
+    consumers = dict.fromkeys(places, 0)  # bits of the transitions each place feeds
+    tests = []  # (bit, guard - 1 per pre-place, guard bits of the pre-places)
     for tid, t in enumerate(transitions):
-        pre = ones(index[p] for p in pre_places[t])
-        post = ones(index[p] for p in post_places[t])
-        moves.append((tid, pre * (guard - 1), pre * guard, post - pre))
+        pre, bit = 0, 1 << tid
+        for p in pre_places[t]:
+            pre += unit[p]
+            consumers[p] |= bit
+        tests.append((bit, pre * (guard - 1), pre * guard))
+    moves = []  # (post - pre, bits of the transitions left as they were, tests to redo)
+    for t, (_, _, g) in zip(transitions, tests):
+        redo = 0
+        for p in set(pre_places[t]).symmetric_difference(post_places[t]):
+            redo |= consumers[p]
+        delta = sum([unit[p] for p in post_places[t]]) - (g >> (bits - 1))
+        keep, again = ~redo, []
+        while redo:
+            low = redo & -redo
+            redo ^= low
+            again.append(tests[low.bit_length() - 1])
+        moves.append((delta, keep, again))
 
     start = sum(k << (bits * i) for i, k in enumerate(start_vec))
     states = [start]
@@ -191,11 +223,17 @@ def reachability(
     parent, via = array("i", [-1]), array("i", [-1])
     first, tid_col, dst_col = array("i", [0]), array("i"), array("i")
     truncated = False
+    # the enabled transitions of each reached state not yet expanded, one bit per id
+    frontier = deque([sum(bit for bit, h, g in tests if (start + h) & g == g)])
 
     for head, m in enumerate(states):
-        for tid, h, g, delta in moves:
-            if (m + h) & g != g:
-                continue
+        here = frontier.popleft()
+        rest = here
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            tid = low.bit_length() - 1
+            delta, keep, again = moves[tid]
             succ = m + delta
             if (succ + over) & guards:
                 truncated = True
@@ -210,6 +248,11 @@ def reachability(
                 states.append(succ)
                 parent.append(head)
                 via.append(tid)
+                mask = here & keep
+                for bit, h, g in again:
+                    if (succ + h) & g == g:
+                        mask |= bit
+                frontier.append(mask)
             tid_col.append(tid)
             dst_col.append(dst)
         first.append(len(tid_col))
@@ -218,13 +261,72 @@ def reachability(
     return ReachGraph(places, arcs, truncated, transitions, width, states, parent, via)
 
 
+class Clause(NamedTuple):
+    """`agg(places) op bound`: the sum or the max of the token counts on
+    places, compared with bound.  `agg` is "sum" or "max", `op` one of
+    <=, >=, ==, !=, <, >.  The max over no places is 0."""
+
+    agg: str
+    places: Collection[NodeId]
+    op: str
+    bound: int
+
+
+_OPS = {"<=": operator.le, ">=": operator.ge, "==": operator.eq,
+        "!=": operator.ne, "<": operator.lt, ">": operator.gt}
+
+
+class Invariant:
+    """A conjunction of clauses.  `check_invariant` evaluates it on the
+    packed markings, so it builds a marking dict only for a violation."""
+
+    __slots__ = ("clauses",)
+
+    def __init__(self, clauses: Iterable[Clause]):
+        self.clauses = tuple(Clause(*c) for c in clauses)
+        for c in self.clauses:
+            if c.agg not in ("sum", "max") or c.op not in _OPS:
+                raise ValueError(f"bad invariant clause: {c}")
+
+    def _first_violation(self, g: ReachGraph) -> int | None:
+        """The first state of g, in discovery order, where a clause fails,
+        found on the packed states."""
+        index = {p: i for i, p in enumerate(g.places)}
+        bits = 8 * g._width
+        field = (1 << bits) - 1
+        size = len(g.places) * g._width
+        checks = []  # (mask over the clause's place fields, their indices, agg, op, bound)
+        for agg, ps, op, bound in self.clauses:
+            fields = {index[p] for p in ps if p in index}  # other places hold no tokens
+            mask = sum(field << (bits * i) for i in fields)
+            # over no fields the masked counts are all zero, which sums to max's 0
+            checks.append((mask, fields, sum if agg == "sum" or not fields else max, _OPS[op], bound))
+
+        if g._width == 1:  # a byte per field: aggregate the masked state's bytes
+            for i, s in enumerate(g._states):
+                for mask, _, agg, op, bound in checks:
+                    if not op(agg((s & mask).to_bytes(size, "little")), bound):
+                        return i
+        else:
+            for i, s in enumerate(g._states):
+                for _, fields, agg, op, bound in checks:
+                    if not op(agg([s >> (bits * f) & field for f in fields]), bound):
+                        return i
+        return None
+
+
 def check_invariant(
-    g: ReachGraph, pred: Callable[[Marking], bool]
+    g: ReachGraph, pred: Invariant | Callable[[Marking], bool]
 ) -> Counterexample | None:
     """First reached marking violating pred, with a shortest firing sequence
-    to it; None when every reached marking satisfies pred."""
-    for i in range(len(g)):
-        m = g.marking(i)
+    to it; None when every reached marking satisfies pred.
+
+    An `Invariant` is evaluated on the packed states; any other callable
+    gets each state's marking dict in discovery order."""
+    if isinstance(pred, Invariant):
+        i = pred._first_violation(g)
+        return None if i is None else Counterexample(g.marking(i), g.path_to(i))
+    for i, m in enumerate(g._markings()):
         if not pred(m):
             return Counterexample(m, g.path_to(i))
     return None

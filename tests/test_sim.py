@@ -1,3 +1,4 @@
+import operator
 import random
 import tracemalloc
 
@@ -8,7 +9,7 @@ from petrimod import (NodeId, check_invariant, enabled, evaluate, fire, fixture_
 from petrimod.errors import NotEnabled, UnknownTransition
 from petrimod.generate import random_net
 from petrimod.nets import NetView
-from petrimod.sim import MAX_MARKINGS, MAX_TOKENS_PER_PLACE, Counterexample
+from petrimod.sim import MAX_MARKINGS, MAX_TOKENS_PER_PLACE, Clause, Counterexample, Invariant, ReachGraph
 
 
 @pytest.fixture(scope="module")
@@ -259,6 +260,46 @@ def test_reachability_matches_the_reference_engine(max_markings, max_tokens):
         assert_same_graph(net, initial, max_markings=max_markings, max_tokens_per_place=max_tokens)
 
 
+@pytest.mark.parametrize("max_transitions", [40, 70])
+def test_wide_random_nets_match_the_reference_engine(max_transitions):
+    # enabled-transition masks wider than one int digit (30 bits) and than 64 bits
+    rng = random.Random(max_transitions)
+    fired = set()  # ids of the transitions that fired in some sweep
+    for trial in range(30):
+        net = random_net(rng, f"w{trial}", max_transitions=max_transitions, max_places=max_transitions)
+        initial = {p: rng.randint(0, 2) for p in sorted(net.places)}
+        g = assert_same_graph(net, initial, max_markings=rng.choice((100, 400)),
+                              max_tokens_per_place=rng.choice((2, 3, 16)))
+        ids = {t: i for i, t in enumerate(sorted(net.transitions))}
+        fired |= {ids[t] for _, t, _ in g.arcs}
+    assert max(fired) >= (64 if max_transitions > 64 else 30)
+
+
+def _net(entries, marking=None):
+    """A net from `"src dst"` arcs and lone `"name"` nodes; names starting with t are transitions."""
+    split = [entry.split() for entry in entries]
+    ids = {x: NodeId.single("h", x) for names in split for x in names}
+    ts = frozenset(nid for x, nid in ids.items() if x.startswith("t"))
+    flow = frozenset((ids[a], ids[b]) for a, b in (names for names in split if len(names) == 2))
+    return NetView(frozenset(ids.values()) - ts, ts, flow, {ids[x]: k for x, k in (marking or {}).items()})
+
+
+@pytest.mark.parametrize("entries, marking", [
+    # a source transition feeds p, which t1 drains into q: only a cap stops it
+    (["t0 p", "p t1", "t1 q"], None),
+    # a source with no post-place loops on every marking
+    (["p t1", "t1 q", "t0"], {"p": 2}),
+    # self-loop: t1 reads s without changing it; t2 takes s away and disables t1
+    (["s t1", "t1 s", "a t1", "t1 b", "s t2", "t2 c"], {"s": 1, "a": 3}),
+    # a self-loop place next to a counter that grows past the cap
+    (["s t1", "t1 s", "t1 q", "q t2", "t2 r"], {"s": 1}),
+])
+@pytest.mark.parametrize("caps", [{}, {"max_tokens_per_place": 2}, {"max_markings": 3},
+                                  {"max_tokens_per_place": 130, "max_markings": 60}])
+def test_hand_made_nets_match_the_reference_engine(entries, marking, caps):
+    assert_same_graph(_net(entries, marking), **caps)
+
+
 def test_arc_rows_find_their_source_state(phil):
     # the sweep keeps one arc offset per state, and states without arcs (dead
     # ends, or cut by a cap) leave empty runs the lookup must skip
@@ -324,3 +365,85 @@ def test_memory_per_marking_is_bounded(phil_env):
         tracemalloc.stop()
     assert len(g) == 15127 and not g.truncated
     assert peak / len(g) < 512
+
+
+# -- invariants ---------------------------------------------------------------------
+
+_OPS = {"<=": operator.le, ">=": operator.ge, "==": operator.eq,
+        "!=": operator.ne, "<": operator.lt, ">": operator.gt}
+
+
+def dict_predicate(clauses):
+    """The marking-dict predicate `petrimod reach --invariant` used before
+    clauses were evaluated on packed states: the oracle of `Invariant`."""
+    def pred(marking) -> bool:
+        for agg, places, op, num in clauses:
+            counts = [marking.get(p, 0) for p in places]
+            value = sum(counts) if agg == "sum" else max(counts, default=0)
+            if not _OPS[op](value, num):
+                return False
+        return True
+
+    return pred
+
+
+def reference_check(g, pred):
+    for i in range(len(g)):
+        if not pred(g.marking(i)):
+            return Counterexample(g.marking(i), g.path_to(i))
+    return None
+
+
+def _random_clause(rng, g):
+    """A clause that mostly holds at the root and breaks once its value
+    drifts by more than a random slack, so violations turn up at every depth."""
+    chosen = [p for p in g.places if rng.random() < 0.4]
+    if rng.random() < 0.1:
+        chosen.append(NodeId.single("elsewhere", "p"))  # holds no tokens in any state
+    agg, op = rng.choice(("sum", "max")), rng.choice(tuple(_OPS))
+    counts = [g.marking(0).get(p, 0) for p in chosen]
+    value = sum(counts) if agg == "sum" else max(counts, default=0)
+    slack = rng.choice((0, 0, 1, 2))
+    bound = {"<=": value + slack, "<": value + 1 + slack, ">=": value - slack, ">": value - 1 - slack,
+             "==": value, "!=": value + 1 + slack}[op]
+    if rng.random() < 0.1:
+        bound = rng.choice((0, 127, 1000))
+    return Clause(agg, chosen, op, max(0, bound))
+
+
+def test_compiled_invariants_agree_with_the_dict_predicate(monkeypatch):
+    decoded = []
+    marking = ReachGraph.marking
+    monkeypatch.setattr(ReachGraph, "marking", lambda g, i: decoded.append(i) or marking(g, i))
+    rng = random.Random(14)
+    seen = {"violated": 0, "violated past the root": 0, "holds": 0, "truncated": 0, "wide": 0}
+    for trial in range(1000):
+        net = random_net(rng, f"v{trial}", max_transitions=6, max_places=6)
+        initial = {p: rng.randint(0, 3) for p in sorted(net.places)}
+        if trial % 2:  # a count of 127 or more needs two-byte fields
+            initial[rng.choice(sorted(net.places))] = rng.choice((126, 127, 200, 1000))
+        g = reachability(net, initial, max_markings=rng.choice((5, 40, 300)),
+                         max_tokens_per_place=max(initial.values()) + rng.choice((0, 2, 16)))
+        clauses = [_random_clause(rng, g) for _ in range(rng.randint(1, 3))]
+        expected = reference_check(g, dict_predicate(clauses))
+        assert check_invariant(g, dict_predicate(clauses)) == expected
+        decoded.clear()
+        assert check_invariant(g, Invariant(clauses)) == expected
+        assert len(decoded) == (expected is not None)  # a dict for the counterexample only
+        seen["violated" if expected else "holds"] += 1
+        seen["violated past the root"] += bool(expected and expected.path)
+        seen["truncated"] += g.truncated
+        seen["wide"] += g._width > 1
+    assert min(seen.values()) >= 100, seen
+
+
+def test_invariant_clauses_are_checked():
+    p = NodeId.single("x", "p")
+    for bad in (Clause("min", [p], "<=", 1), Clause("sum", [p], "=<", 1), Clause("sum", [p], "=", 1)):
+        with pytest.raises(ValueError):
+            Invariant([bad])
+    # a place-less net packs to zero bytes; the max over no places is 0
+    t = NodeId.single("x", "t")
+    g = reachability(NetView(frozenset(), frozenset({t}), frozenset(), {}))
+    assert check_invariant(g, Invariant([Clause("max", [], "==", 0), Clause("sum", [p], "<", 1)])) is None
+    assert check_invariant(g, Invariant([Clause("max", [], ">", 0)])) == Counterexample({}, ())

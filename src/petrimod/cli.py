@@ -29,7 +29,7 @@ from .errors import (
 from .export import dumps, to_dot, to_pnml
 from .iso import IsoOptions, isomorphic
 from .laws import LAWS
-from .nets import NetView, factorize, validate_net
+from .nets import NetView, adjacency, factorize, validate_net
 from .sim import MAX_MARKINGS, MAX_TOKENS_PER_PLACE, Clause, Invariant, check_invariant, reachability
 
 DEFAULT_SEED = 1105
@@ -138,12 +138,10 @@ def _cmd_factorize(args) -> int:
     except SearchBudgetExceeded:
         raise _Failure(1, "UNDECIDED: search budget exceeded") from None
     print(f"atoms: {len(result.atoms)}")
-    # atoms are in sorted transition order, under fresh ids: the label comes from the net
-    for t, atom in zip(sorted(view.transitions), result.atoms):
-        (inner,) = atom.interior()
-        pre = sum(1 for s, d in atom.edges if d == inner)
-        post = sum(1 for s, d in atom.edges if s == inner)
-        print(f"  [{module.label_of(t)}] {pre} in, {post} out")
+    # one atom per transition, in sorted order: its arcs are the transition's
+    pre, post = adjacency(view)
+    for t in sorted(view.transitions):
+        print(f"  [{module.label_of(t)}] {len(pre[t])} in, {len(post[t])} out")
     verdict = "yes" if result.matches else "NO"
     print(f"recomposition isomorphic to original: {verdict}")
     return 0 if result.matches else 1
@@ -153,12 +151,15 @@ _CLAUSE = re.compile(r"(sum|max)\(([A-Za-z_][A-Za-z0-9_]*)\)\s*(<=|>=|==|!=|<|>)
 
 
 def _parse_invariant(text: str, module: Module, view: NetView) -> Invariant:
-    """`sum(label) <= k and max(label) < k ...`, each label standing for its places."""
+    """`sum(label) <= k and max(label) < k ...`, each label standing for its places.
+
+    Only an `and` outside parentheses separates clauses, so `and` is a label too.
+    """
     by_label: dict[str, list] = {}
     for p in view.places:
         by_label.setdefault(module.label_of(p), []).append(p)
     clauses = []
-    for part in re.split(r"\band\b", text):
+    for part in re.split(r"\band\b(?![^()]*\))", text):
         m = _CLAUSE.match(part.strip())
         if not m:
             raise _Failure(2, f"bad invariant clause: {part.strip()!r}")

@@ -65,11 +65,13 @@ class _Numbered:
 
     A key is (kind, label or class size, per-label left and right index with
     0 for absent, in-degree, out-degree), counted from the edge set; a
-    label-class node's key is ("label", class size).  The integer adjacency
-    (`out`, `inn` and their sets) is built by `link`, which only the search
-    calls.  Adjacency lists are sorted by node number, never taken from the
-    order of the edge frozenset, so everything derived from them (colours,
-    search order, the witness) is independent of string hashing.
+    label-class node's key is ("label", class size).  The replay reuses the
+    `(left, right)` slot tables the keys read, kept as `slots`.  The integer
+    adjacency (`out`, `inn` and their sets) is built by `link`, which only
+    the search calls.  Adjacency lists are sorted by node number, never
+    taken from the order of the edge frozenset, so everything derived from
+    them (colours, search order, the witness) is independent of string
+    hashing.
     """
 
     def __init__(self, m: Module, rename: bool):
@@ -81,8 +83,7 @@ class _Numbered:
                 if node.kind is Kind.ABSTRACT:
                     classes.setdefault(node.label, []).append(i)
         self.cores = [members for members in classes.values() if len(members) > 1]
-        left = m.left.indexed(m.label_of)
-        right = m.right.indexed(m.label_of)
+        self.slots = left, right = m.left.indexed(m.label_of), m.right.indexed(m.label_of)
         outdeg = Counter(s for s, _ in m.edges)
         indeg = Counter(d for _, d in m.edges)
         self.keys: list[tuple] = []
@@ -160,25 +161,7 @@ class _Search:
         self.steps = 0
         ga.link()
         gb.link()
-        self.fwd = [-1] * len(ga.out)
-        self.rev = [-1] * len(gb.out)
-
-    def colour(self) -> bool:
-        """Refine both graphs together; False when the colour histograms differ."""
-        ga, gb = self.ga, self.gb
-        na = len(ga.out)
-        # one node space: b's nodes follow a's
-        colours = _refine(
-            ga.keys + gb.keys,
-            ga.out + [[j + na for j in adj] for adj in gb.out],
-            ga.inn + [[j + na for j in adj] for adj in gb.inn],
-        )
-        self.ca, self.cb = colours[:na], colours[na:]
-        self.cells_b: dict[int, list[int]] = {}
-        for v, c in enumerate(self.cb):
-            self.cells_b.setdefault(c, []).append(v)
-        self.cell_size = Counter(self.ca)
-        return self.cell_size == Counter(self.cb)
+        self.fwd, self.rev = [-1] * len(ga.out), [-1] * len(gb.out)
 
     def _order(self) -> tuple[list[int], list[tuple[int, bool] | None]]:
         """BFS order of `a` and, per position, (BFS parent, reached by an out-edge)."""
@@ -229,7 +212,23 @@ class _Search:
         return True
 
     def run(self) -> list[int] | None:
-        """The image of every node of `a`, or None when no bijection exists."""
+        """The image of every node of `a`, or None when no bijection exists:
+        at once when the two graphs, refined together, differ in colours."""
+        ga, gb = self.ga, self.gb
+        na = len(ga.out)
+        # one node space: b's nodes follow a's
+        colours = _refine(
+            ga.keys + gb.keys,
+            ga.out + [[j + na for j in adj] for adj in gb.out],
+            ga.inn + [[j + na for j in adj] for adj in gb.inn],
+        )
+        self.ca, self.cb = colours[:na], colours[na:]
+        self.cell_size = Counter(self.ca)
+        if self.cell_size != Counter(self.cb):
+            return None
+        self.cells_b: dict[int, list[int]] = {}
+        for v, c in enumerate(self.cb):
+            self.cells_b.setdefault(c, []).append(v)
         order, link = self._order()
         n = len(order)
         fwd, rev = self.fwd, self.rev
@@ -277,12 +276,13 @@ def isomorphic(
     renaming), edges in both directions, and interface membership with side
     and per-label index.  Markings are not compared.
 
-    Every node first gets a start key from kind, label, interface positions
-    and degrees.  Keys are isomorphism invariants, so when no key repeats
-    within `a` nor within `b` the only possible bijection maps each node to
-    the node of the same key: differing key sets answer None, and otherwise
-    `verify_witness` replaying that one mapping is the answer.  This path
-    runs no refinement and no search, and uses no budget.
+    One of two engines proposes the image of every node.  Every node first
+    gets a start key from kind, label, interface positions and degrees.
+    Keys are isomorphism invariants, so when no key repeats within `a` nor
+    within `b` the only possible bijection maps each node to the node of the
+    same key: differing key sets answer None, and otherwise that one mapping
+    is proposed.  This path runs no refinement and no search, and uses no
+    budget.
 
     Otherwise both modules are coloured together by colour refinement from
     those keys; differing colour histograms answer None without any search.
@@ -292,86 +292,85 @@ def isomorphic(
     candidates from its colour cell next to its BFS parent's image.
     `budget` caps the number of accepted candidate expansions; running out
     raises SearchBudgetExceeded, which means unknown rather than
-    non-isomorphic.  Every witness is replayed by `verify_witness` before it
-    is returned.
+    non-isomorphic.
+
+    One replay (`_replay`, also behind `verify_witness`) then decides either
+    proposal and yields the witness's label renaming.  A forced mapping
+    that fails it answers None; a searched one raises AssertionError, also
+    under `python -O`.
     """
     opts = options or IsoOptions()
 
     if len(a.nodes) != len(b.nodes) or len(a.edges) != len(b.edges):
         return None
 
-    ga = _Numbered(a, opts.rename_abstract_cores)
-    gb = _Numbered(b, opts.rename_abstract_cores)
+    rename = opts.rename_abstract_cores
+    ga, gb = _Numbered(a, rename), _Numbered(b, rename)
     keys_a = set(ga.keys)
     by_key = {key: v for v, key in enumerate(gb.keys)}
-    if len(keys_a) == len(ga.keys) and len(by_key) == len(gb.keys):
+    forced = len(keys_a) == len(ga.keys) and len(by_key) == len(gb.keys)
+    if forced:
         # both start colourings are discrete: the bijection is forced, if any
-        if keys_a != by_key.keys():
-            return None
-        witness = _witness(a, b, ga, gb, [by_key[key] for key in ga.keys])
-        return witness if verify_witness(a, b, witness, opts) else None
-
-    search = _Search(ga, gb, budget)
-    if not search.colour():
-        return None
-    fwd = search.run()
+        fwd = [by_key[key] for key in ga.keys] if keys_a == by_key.keys() else None
+    else:
+        fwd = _Search(ga, gb, budget).run()
     if fwd is None:
         return None
-    witness = _witness(a, b, ga, gb, fwd)
-    assert verify_witness(a, b, witness, opts), "search returned a witness that fails replay"
-    return witness
 
-
-def _witness(a: Module, b: Module, ga: _Numbered, gb: _Numbered, fwd: list[int]) -> IsoWitness:
-    """The witness of the node images `fwd`, sorted by `a`'s node ids."""
     # zip stops at a's last module node: label-class nodes stay out of the witness
     mapping = {u: gb.ids[v] for u, v in zip(ga.ids, fwd)}
-    pairs = ((a.nodes[u], b.nodes[v]) for u, v in mapping.items())
-    return IsoWitness(
-        tuple(sorted(mapping.items())),
-        # identity bindings constrain the search but are not renames
-        tuple(sorted({(x.label, y.label) for x, y in pairs if x.kind is Kind.ABSTRACT and x.label != y.label})),
-    )
+    renaming = _replay(a, b, mapping, rename, ga.slots, gb.slots)
+    if renaming is None and not forced:
+        raise AssertionError("the search proposed a mapping that fails replay")
+    return None if renaming is None else IsoWitness(tuple(sorted(mapping.items())), tuple(renaming))
 
 
-def verify_witness(a: Module, b: Module, witness: IsoWitness, options: IsoOptions | None = None) -> bool:
-    """Replay a witness slot-by-slot and edge-by-edge against both modules."""
-    opts = options or IsoOptions()
-    mapping = dict(witness.mapping)
+def _replay(a: Module, b: Module, mapping: dict[NodeId, NodeId], rename: bool,
+            slots_a: tuple[dict, dict], slots_b: tuple[dict, dict]) -> list[tuple[str, str]] | None:
+    """Replay `mapping` slot by slot and edge by edge against both modules.
+
+    `slots_a` and `slots_b` are the modules' `(left, right)` tables from
+    `Interface.indexed`.  Returns the abstract-label renaming the mapping
+    induces, as sorted pairs of labels that differ (empty outside rename
+    mode), or None when the mapping is no isomorphism.
+    """
     image = set(mapping.values())
     if mapping.keys() != a.nodes.keys() or len(image) != len(mapping) or image != b.nodes.keys():
-        return False
+        return None
+    # an injective mapping sends a's edges to as many distinct pairs
+    if len(a.edges) != len(b.edges):
+        return None
 
     ren: dict[str, str] = {}
     ren_rev: dict[str, str] = {}
     for u, v in mapping.items():
         na, nb = a.nodes[u], b.nodes[v]
         if na.kind is not nb.kind:
-            return False
-        if opts.rename_abstract_cores and na.kind is Kind.ABSTRACT:
-            if ren.setdefault(na.label, nb.label) != nb.label:
-                return False
-            if ren_rev.setdefault(nb.label, na.label) != na.label:
-                return False
+            return None
+        if rename and na.kind is Kind.ABSTRACT:
+            if ren.setdefault(na.label, nb.label) != nb.label or ren_rev.setdefault(nb.label, na.label) != na.label:
+                return None
         elif na.label != nb.label:
-            return False
-    # the renaming the mapping induces, empty outside rename mode, is the only one accepted
-    if sorted(witness.label_renaming) != sorted((x, y) for x, y in ren.items() if x != y):
-        return False
-
-    # an injective mapping sends a's edges to as many distinct pairs
-    if len(a.edges) != len(b.edges):
-        return False
+            return None
     for s, d in a.edges:
         if (mapping[s], mapping[d]) not in b.edges:
-            return False
+            return None
 
     # the mapping is injective, so equal sizes and every image at its index make equal slot sets
-    for a_side, b_side in ((a.left, b.left), (a.right, b.right)):
-        if len(a_side) != len(b_side):
-            return False
-        b_slots = b_side.indexed(b.label_of)
-        for nid, (_, i) in a_side.indexed(a.label_of).items():
+    for a_slots, b_slots in zip(slots_a, slots_b):
+        if len(a_slots) != len(b_slots):
+            return None
+        for nid, (_, i) in a_slots.items():
             if b_slots.get(mapping[nid], _NO_SLOT)[1] != i:
-                return False
-    return True
+                return None
+    return sorted((x, y) for x, y in ren.items() if x != y)
+
+
+def verify_witness(a: Module, b: Module, witness: IsoWitness, options: IsoOptions | None = None) -> bool:
+    """Replay a witness node, edge and slot by slot, as `isomorphic` decides.
+    Its `label_renaming` must be the renaming the mapping induces, so
+    outside rename mode an empty one."""
+    opts = options or IsoOptions()
+    slots = lambda m: (m.left.indexed(m.label_of), m.right.indexed(m.label_of))
+    renaming = _replay(a, b, dict(witness.mapping), opts.rename_abstract_cores, slots(a), slots(b))
+    return renaming == sorted(witness.label_renaming)

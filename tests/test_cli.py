@@ -188,6 +188,24 @@ def test_malformed_invariant_fails_before_the_sweep(monkeypatch, capsys):
     assert capsys.readouterr() == ("", "bad invariant clause: 'count(eating) < 1'\n")
 
 
+AND_SRC = """\
+alphabet { places: and, done; transitions: go; }
+module m { place p label and marking 1; transition t label go; place q label done; arc p -> t; arc t -> q; }
+"""
+
+
+def test_invariant_over_a_place_labelled_and(capsys, tmp_path):
+    # `and` separates clauses only outside parentheses, where no label stands
+    f = tmp_path / "and.hkl"
+    f.write_text(AND_SRC, encoding="utf-8")
+    assert main(["reach", str(f), "m", "--invariant", "sum(and) <= 1"]) == 0
+    assert capsys.readouterr().out.endswith("invariant holds over 2 markings\n")
+    assert main(["reach", str(f), "m", "--invariant", "max(and) <= 1 and sum(done) < 1"]) == 1
+    assert capsys.readouterr().out.endswith("path from initial marking: go\n")
+    assert main(["reach", str(f), "m", "--invariant", "sum(and) <= and max(done) < 1"]) == 2
+    assert capsys.readouterr() == ("", "bad invariant clause: 'sum(and) <='\n")
+
+
 def test_overlong_invariant_bound_is_usage_error(capsys):
     argv = ["reach", PHIL, "phils_in_a_cycle", "--invariant", "sum(eating) <= " + "9" * 5000]
     assert main(argv) == 2

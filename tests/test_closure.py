@@ -1,6 +1,6 @@
 import random
 
-from petrimod import closure, empty_module, structural_equal, verify_well_formed
+from petrimod import Module, Node, NodeId, closure, compose, dumps, empty_module, structural_equal, verify_well_formed
 from petrimod.generate import random_module
 
 from conftest import module, node
@@ -102,6 +102,93 @@ def test_label_never_on_both_sides_for_disjoint_interfaces():
         c = closure(random_module(rng, "m", shared_interfaces=False))
         both = set(c.left.labels(c.label_of)) & set(c.right.labels(c.label_of))
         assert both == set()
+
+
+def reference_closure(m):
+    """Closure in plain code: pair the slots, merge by relabelling, rebuild.
+
+    Returns the module and its merge classes, each a list of `m`'s nodes.
+    """
+    def keyed(side):
+        seen, out = {}, {}
+        for nid in side:
+            label = m.label_of(nid)
+            seen[label] = seen.get(label, 0) + 1
+            out[label, seen[label]] = nid
+        return out
+
+    lefts = keyed(m.left)
+    pairs = [(r, lefts[key]) for key, r in keyed(m.right).items() if lefts.get(key, r) != r]
+    # every paired node starts in a class of its own; a pair pulls both ends
+    # to the lower class number until nothing changes
+    paired = {nid for pair in pairs for nid in pair}
+    cls = {nid: i for i, nid in enumerate(m.nodes) if nid in paired}
+    changed = True
+    while changed:
+        changed = False
+        for r, l in pairs:
+            low = min(cls[r], cls[l])
+            if cls[r] != low or cls[l] != low:
+                cls[r] = cls[l] = low
+                changed = True
+    classes = {}
+    for nid in m.nodes:
+        if nid in cls:
+            classes.setdefault(cls[nid], []).append(nid)
+    merged = {nid: NodeId(frozenset().union(*group)) for group in classes.values() for nid in group}
+    mp = lambda nid: merged.get(nid, nid)
+
+    nodes = {}
+    for node in m.nodes.values():
+        nid = mp(node.id)
+        if nid not in nodes:
+            nodes[nid] = node if nid is node.id else Node(nid, node.label, node.kind)
+    marking = {}
+    for nid, count in m.marking.items():
+        marking[mp(nid)] = marking.get(mp(nid), 0) + count
+    dropped_left, dropped_right = {l for _, l in pairs}, {r for r, _ in pairs}
+    out = Module(
+        nodes,
+        {(mp(s), mp(d)) for s, d in m.edges},
+        [mp(n) for n in m.left if n not in dropped_left],
+        [mp(n) for n in m.right if n not in dropped_right],
+        marking,
+    )
+    return out, list(classes.values())
+
+
+def few_labels(rng, tag):
+    """A module over two labels whose sides hold half its nodes or more, so
+    one node often fills slots of different index on both sides."""
+    ns = [node(tag, f"n{i}", rng.choice(("alpha", "p"))) for i in range(rng.randint(1, 8))]
+    ids = [n.id for n in ns]
+    edges = {(rng.choice(ids), rng.choice(ids)) for _ in range(rng.randint(0, 8))}
+    side = lambda: rng.sample(ids, rng.randint(len(ids) // 2, len(ids)))
+    marking = {n.id: rng.randint(1, 3) for n in ns if n.label == "p" and rng.random() < 0.5}
+    return module(ns, edges, side(), side(), marking)
+
+
+def _closure_cases(rng):
+    for trial in range(500):
+        yield random_module(rng, f"m{trial}", shared_interfaces=trial % 2 == 0)
+        m = few_labels(rng, f"f{trial}")
+        yield m
+        # a retagged self-composition repeats the slot labels on both sides
+        yield compose(m, m.retagged("r"))
+
+
+def test_closure_matches_the_reference():
+    rng = random.Random(1729)
+    seen = {"cases": 0, "merged": 0, "chained": 0}
+    for m in _closure_cases(rng):
+        want, classes = reference_closure(m)
+        got = closure(m)
+        assert (dumps(got), list(got.nodes), list(got.marking.items()), got.left.slots, got.right.slots, got.name) \
+            == (dumps(want), list(want.nodes), list(want.marking.items()), want.left.slots, want.right.slots, None)
+        seen["cases"] += 1
+        seen["merged"] += bool(classes)
+        seen["chained"] += any(len(group) >= 3 for group in classes)
+    assert seen["cases"] == 1500 and seen["merged"] >= 500 and seen["chained"] >= 100, seen
 
 
 def test_cycles_close_completely(phil_env):

@@ -373,9 +373,8 @@ def searched(a, b):
     """The reference engine: refinement and search on the pair, as
     `isomorphic` runs them when some start key repeats."""
     ga, gb = iso._Numbered(a, False), iso._Numbered(b, False)
-    search = iso._Search(ga, gb, 1_000_000)
-    fwd = search.run() if search.colour() else None
-    return None if fwd is None else iso._witness(a, b, ga, gb, fwd)
+    fwd = iso._Search(ga, gb, 1_000_000).run()
+    return None if fwd is None else IsoWitness(tuple(sorted(zip(ga.ids, (gb.ids[v] for v in fwd)))))
 
 
 def unique_keys(m):
@@ -468,3 +467,51 @@ def test_unique_keys_never_search(monkeypatch):
     witness = isomorphic(a, copy)
     assert witness is not None and verify_witness(a, copy, witness)
     assert isomorphic(*_broken_by_force()) is None
+
+
+def _ring_pair():
+    """The fixture's two philosopher rings: start keys repeat, so `isomorphic` searches."""
+    env = petrimod.parse(fixture_path("philosophers.hkl").read_text(encoding="utf-8"))
+    return evaluate(env, "phils_in_a_cycle"), evaluate(env, "forks_in_a_cycle")
+
+
+def test_searched_mapping_failing_replay_raises_without_asserts():
+    # a search that proposed a non-isomorphism must not pass as a witness under -O
+    tests = str(Path(__file__).resolve().parent)
+    src = str(Path(petrimod.__file__).resolve().parents[1])
+    script = """\
+from test_iso import _ring_pair
+from petrimod import iso
+run = iso._Search.run
+def swapped(self):
+    fwd = run(self)
+    fwd[0], fwd[1] = fwd[1], fwd[0]
+    return fwd
+iso._Search.run = swapped
+a, b = _ring_pair()
+try:
+    witness = iso.isomorphic(a, b)
+except AssertionError as e:
+    print("raised:", e)
+else:
+    print("witness, replayed:", iso.verify_witness(a, b, witness))
+"""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join((tests, src))}
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "raised: the search proposed a mapping that fails replay\n"
+
+
+@pytest.mark.parametrize("rename", [False, True])
+def test_slot_tables_are_built_once_per_module(monkeypatch, rename):
+    calls = []
+    indexed = petrimod.core.Interface.indexed
+    monkeypatch.setattr(petrimod.core.Interface, "indexed", lambda *args: calls.append(1) or indexed(*args))
+    opts = IsoOptions(rename_abstract_cores=rename)
+    a = net_to_module(random_net(random.Random(5), "n"))
+    phils, forks = _ring_pair()
+    assert unique_keys(a) and not unique_keys(phils)  # one pair per path
+    for pair in ((a, a.retagged("r")), (phils, forks)):
+        calls.clear()
+        assert isomorphic(*pair, opts) is not None
+        assert len(calls) == 4

@@ -1,3 +1,4 @@
+import itertools
 import operator
 import random
 import tracemalloc
@@ -248,8 +249,12 @@ def assert_same_graph(net, initial=None, **caps):
 _COUNTS = (0, 1, 2, 3, 17, 126, 127, 128, 200, 255, 256, 1000, 40000)
 
 
-@pytest.mark.parametrize("max_markings", [1, 2, 25, 5000])
-@pytest.mark.parametrize("max_tokens", [0, 1, 16, 255, 1000])
+_MAX_MARKINGS = (1, 2, 25, 5000)
+_MAX_TOKENS = (0, 1, 16, 255, 1000)
+
+
+@pytest.mark.parametrize("max_markings", _MAX_MARKINGS)
+@pytest.mark.parametrize("max_tokens", _MAX_TOKENS)
 def test_reachability_matches_the_reference_engine(max_markings, max_tokens):
     rng = random.Random(max_markings * 7919 + max_tokens)
     for trial in range(12):
@@ -258,6 +263,27 @@ def test_reachability_matches_the_reference_engine(max_markings, max_tokens):
         if trial % 3:
             initial = {p: rng.choice(_COUNTS) for p in sorted(net.places) if rng.random() < 0.5}
         assert_same_graph(net, initial, max_markings=max_markings, max_tokens_per_place=max_tokens)
+
+
+def without_presets(net, rng):
+    """`net` with every pre-arc of a random third of its transitions dropped,
+    and the number of those new source transitions."""
+    ts = sorted(net.transitions)
+    sources = set(rng.sample(ts, round(len(ts) / 3)))
+    flow = frozenset((s, d) for s, d in net.flow if d not in sources)
+    return NetView(net.places, net.transitions, flow, net.marking), len(sources)
+
+
+def test_source_transitions_match_the_reference_engine():
+    # `random_net` gives every transition a pre-place; a source is enabled in every state
+    rng = random.Random(2718)
+    sources = 0
+    for max_markings, max_tokens in itertools.product(_MAX_MARKINGS, _MAX_TOKENS):
+        for trial in range(8):
+            net, k = without_presets(random_net(rng, f"s{trial}", max_transitions=6, max_places=6), rng)
+            sources += k
+            assert_same_graph(net, max_markings=max_markings, max_tokens_per_place=max_tokens)
+    assert sources >= 100
 
 
 @pytest.mark.parametrize("max_transitions", [40, 70])

@@ -22,6 +22,7 @@ from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -109,6 +110,15 @@ class AtomicNodeId:
         return f"{self.instance}:{self.name}"
 
 
+def _mint_atom(instance: str, name: str, _set_instance=AtomicNodeId.instance.__set__,
+               _set_name=AtomicNodeId.name.__set__) -> AtomicNodeId:
+    """An atom from fields already known to be valid, without `__post_init__`."""
+    atom = object.__new__(AtomicNodeId)
+    _set_instance(atom, instance)
+    _set_name(atom, name)
+    return atom
+
+
 class NodeId(frozenset):
     """Node identity: a non-empty set of atoms, flattened across merges.
 
@@ -150,7 +160,10 @@ class NodeId(frozenset):
 
     def retagged(self, prefix: str) -> "NodeId":
         """The same atoms with every instance namespaced under `prefix`."""
-        return NodeId(AtomicNodeId(f"{prefix}/{a.instance}", a.name) for a in self)
+        if not _ATOM_FIELD.match(prefix):  # the checked constructor raises, or accepts an empty prefix
+            return NodeId(AtomicNodeId(f"{prefix}/{a.instance}", a.name) for a in self)
+        # `prefix/instance` is a valid field whenever both parts are, so skip re-matching each atom
+        return NodeId(_mint_atom(f"{prefix}/{a.instance}", a.name) for a in self)
 
     def __eq__(self, other: object):
         if isinstance(other, NodeId):
@@ -257,11 +270,15 @@ class Module:
     """Immutable directed labeled graph with a left and a right interface.
 
     `nodes` maps NodeId to Node, `edges` is a set of (src, dst) NodeId pairs,
-    `marking` holds positive token counts on places.  Construction validates
-    every structural invariant; instances are never mutated afterwards.
+    `marking` holds positive token counts on places.  `Module(...)` validates
+    every structural invariant.  The results of `compose`, `closure` and
+    `with_name` are built trusted, through `_trusted`: their parts are valid
+    modules already, so gluing checks only that the parts agree on one kind
+    per label, and `with_name` only the name.  Instances are never mutated
+    afterwards.
     """
 
-    __slots__ = ("nodes", "edges", "left", "right", "marking", "name", "__weakref__", "_atoms")
+    __slots__ = ("nodes", "edges", "left", "right", "marking", "name", "__weakref__", "_atoms", "_labels")
 
     def __init__(
         self,
@@ -288,14 +305,23 @@ class Module:
         atoms = frozenset().union(*node_map)
         for problem in _problems(node_map, edge_set, left_if, right_if, mark, name, atoms):
             raise MalformedModule(problem)
+        # the label table is derived on demand: storing it here costs memory on every module
+        _fill(self, node_map, edge_set, left_if, right_if, mark, name, atoms, None)
 
-        object.__setattr__(self, "nodes", node_map)
-        object.__setattr__(self, "edges", edge_set)
-        object.__setattr__(self, "left", left_if)
-        object.__setattr__(self, "right", right_if)
-        object.__setattr__(self, "marking", mark)
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "_atoms", atoms)
+    @classmethod
+    def _trusted(cls, nodes: dict[NodeId, Node], edges: frozenset[tuple[NodeId, NodeId]],
+                 left: Interface, right: Interface, marking: dict[NodeId, int], name: str | None,
+                 atoms: frozenset[AtomicNodeId], labels: dict[str, Node] | None) -> "Module":
+        """A module from parts known to be well formed, with no check at all.
+
+        `atoms` is the union of the nodes' atom sets and `labels` maps each
+        label to a node that carries it, in order of the label's first node,
+        or is None to derive it on demand.  Only `_glue` and `with_name`
+        build modules this way.
+        """
+        self = object.__new__(cls)
+        _fill(self, nodes, edges, left, right, marking, name, atoms, labels)
+        return self
 
     def __setattr__(self, *_):
         raise AttributeError("Module is immutable")
@@ -315,6 +341,13 @@ class Module:
     def atom_set(self) -> frozenset[AtomicNodeId]:
         return self._atoms
 
+    def _node_per_label(self) -> dict[str, Node]:
+        """Each label to a node that carries it, so to its kind, in order of
+        the label's first node."""
+        if self._labels is None:
+            return {node.label: node for node in self.nodes.values()}
+        return self._labels
+
     def interior(self) -> frozenset[NodeId]:
         """Nodes in no interface."""
         boundary = set(self.left) | set(self.right)
@@ -326,7 +359,12 @@ class Module:
     # -- derived copies -------------------------------------------------------
 
     def with_name(self, name: str | None) -> "Module":
-        return Module(self.nodes, self.edges, self.left, self.right, self.marking, name)
+        """A copy under another name; only the name is checked."""
+        problem = _name_problem(name)
+        if problem:
+            raise MalformedModule(problem)
+        return Module._trusted(dict(self.nodes), self.edges, self.left, self.right, dict(self.marking), name,
+                               self._atoms, self._labels)
 
     def retagged(self, prefix: str) -> "Module":
         """Fresh copy whose every atom instance is namespaced under `prefix`.
@@ -349,6 +387,19 @@ class Module:
         return f"<Module {name}: {len(self.nodes)} nodes, {len(self.edges)} edges, L{len(self.left)}/R{len(self.right)}>"
 
 
+def _fill(m: Module, nodes, edges, left, right, marking, name, atoms, labels) -> None:
+    """Set a new module's slots, past its refusing `__setattr__`."""
+    set_ = object.__setattr__
+    set_(m, "nodes", nodes)
+    set_(m, "edges", edges)
+    set_(m, "left", left)
+    set_(m, "right", right)
+    set_(m, "marking", marking)
+    set_(m, "name", name)
+    set_(m, "_atoms", atoms)
+    set_(m, "_labels", labels)
+
+
 def empty_module() -> Module:
     """The neutral element: no nodes, no edges, empty interfaces."""
     return Module()
@@ -364,28 +415,32 @@ def _glue(parts: Sequence[Module], cls: Mapping[NodeId, NodeId],
     """Build the module of `parts` with the nodes of each class merged into one.
 
     The one merge-and-rebuild behind `compose` and `closure`.  `cls` maps
-    every merged node to a key its whole class shares; `left` and `right`
-    are the result's interfaces in unmerged node ids.  A merged node takes
-    the union of its members' atoms, the sum of their tokens and the place
-    of its first member in part order.
+    every merged node to a key its whole class shares, and the members of a
+    class share label and kind; `left` and `right` are the result's
+    interfaces in unmerged node ids.  A merged node takes the union of its
+    members' atoms, the sum of their tokens and the place of its first
+    member in part order.  The parts are valid modules with disjoint atoms
+    and the edges, slots and marking go through the same class map as the
+    nodes, so the result is built trusted: the only check is that the parts
+    agree on one kind per label, with `_problems`' message for a clash.
     """
     members: dict[NodeId, list[NodeId]] = {}
     for nid, key in cls.items():
         members.setdefault(key, []).append(nid)
     target = {key: NodeId(frozenset().union(*group)) for key, group in members.items()}
     mp = {nid: target[key] for nid, key in cls.items()}.get
+    labels = _glued_labels(parts)
 
-    nodes: dict[NodeId, Node] = {}
-    for part in parts:
-        for nid, node in part.nodes.items():
-            merged = mp(nid)
-            if merged is None:
-                nodes[nid] = node
-            elif merged not in nodes:
-                nodes[merged] = Node(merged, node.label, node.kind)
+    # a merged class keeps its first member's position; its Node is replaced below
+    node_maps = [part.nodes for part in parts]
+    nodes = dict(zip(map(mp, chain(*node_maps), chain(*node_maps)), chain.from_iterable(m.values() for m in node_maps)))
+    for nid in target.values():
+        node = nodes[nid]
+        nodes[nid] = Node(nid, node.label, node.kind)
 
+    # one pass per arc: measured faster than mapping the ends apart and zipping them back
     if cls:
-        edges = {(mp(s, s), mp(d, d)) for part in parts for s, d in part.edges}
+        edges = frozenset([(mp(s, s), mp(d, d)) for part in parts for s, d in part.edges])
     else:
         edges = frozenset().union(*(part.edges for part in parts))
 
@@ -395,7 +450,19 @@ def _glue(parts: Sequence[Module], cls: Mapping[NodeId, NodeId],
             key = mp(nid, nid)
             marking[key] = marking.get(key, 0) + count
 
-    return Module(nodes, edges, [mp(n, n) for n in left], [mp(n, n) for n in right], marking)
+    atoms = frozenset().union(*(part.atom_set for part in parts))
+    return Module._trusted(nodes, edges, Interface(tuple(map(mp, left, left))),
+                           Interface(tuple(map(mp, right, right))), marking, None, atoms, labels)
+
+
+def _glued_labels(parts: Sequence[Module]) -> dict[str, Node]:
+    """The label table of `parts` glued in order, each label at its first
+    part; raises `MalformedModule` on the first label that a part gives
+    another kind than the parts before it."""
+    labels = dict(parts[0]._node_per_label()) if parts else {}
+    for problem in _kind_clashes(labels, chain.from_iterable(part._node_per_label().values() for part in parts[1:])):
+        raise MalformedModule(problem)
+    return labels
 
 
 def compose(*parts: Module) -> Module:
@@ -435,7 +502,7 @@ def compose(*parts: Module) -> Module:
                     pairs.append((x.id, y.id))
         except (NonDisjointOperands, KindMismatch):
             # the binary fold would have built, and so checked, the chain so far
-            _glue(parts[:k], cls, (), ())
+            _glued_labels(parts[:k])
             raise
         atoms |= part.atom_set
         for x, y in pairs:
@@ -531,15 +598,13 @@ def _problems(
     Invariants that `Node`, `NodeId` and `Interface` enforce when they are
     built (non-empty string labels, non-empty atom sets, no repeated slot)
     are not checked again, and per-label indices need no check because
-    `Interface.indexed` derives them by counting.
+    `Interface.indexed` derives them by counting.  `_glue` checks its
+    results with the one-kind-per-label rule alone, `_kind_clashes`.
     """
-    kind_by_label: dict[str, Kind] = {}
     for nid, node in nodes.items():
         if node.id is not nid and node.id != nid:  # identity first: `!=` runs NodeId.__eq__
             yield f"node map key {nid} != node id {node.id}"
-        prev = kind_by_label.setdefault(node.label, node.kind)
-        if prev is not node.kind:
-            yield f"label {node.label!r} used with kinds {prev.value} and {node.kind.value}"
+    yield from _kind_clashes({}, nodes.values())
     if sum(map(len, nodes)) != len(atoms):
         yield "distinct nodes share atoms"
 
@@ -560,8 +625,25 @@ def _problems(
         if type(count) is not int or count < 0:  # bool is an int subclass but not a count
             yield f"{nid}: tokens must be a non-negative integer, got {count!r}"
 
+    problem = _name_problem(name)
+    if problem:
+        yield problem
+
+
+def _kind_clashes(first: dict[str, Node], nodes: Iterable[Node]) -> Iterator[str]:
+    """The one-kind-per-label rule.  Enters each node into `first`, which
+    keeps the first node seen per label, and reports every later node whose
+    kind differs from that node's."""
+    for node in nodes:
+        prev = first.setdefault(node.label, node).kind
+        if prev is not node.kind:
+            yield f"label {node.label!r} used with kinds {prev.value} and {node.kind.value}"
+
+
+def _name_problem(name: object) -> str | None:
     if name is not None and not isinstance(name, str):
-        yield f"name must be a string or None, got {name!r}"
+        return f"name must be a string or None, got {name!r}"
+    return None
 
 
 def verify_well_formed(a: Module) -> list[str]:

@@ -371,6 +371,9 @@ def verify_witness(a: Module, b: Module, witness: IsoWitness, options: IsoOption
     Its `label_renaming` must be the renaming the mapping induces, so
     outside rename mode an empty one."""
     opts = options or IsoOptions()
+    mapping = dict(witness.mapping)
+    if len(mapping) != len(witness.mapping):  # a node named twice; `_replay` refuses a repeated image
+        return False
     slots = lambda m: (m.left.indexed(m.label_of), m.right.indexed(m.label_of))
-    renaming = _replay(a, b, dict(witness.mapping), opts.rename_abstract_cores, slots(a), slots(b))
+    renaming = _replay(a, b, mapping, opts.rename_abstract_cores, slots(a), slots(b))
     return renaming == sorted(witness.label_renaming)

@@ -183,6 +183,7 @@ def test_closure_matches_the_reference():
     for m in _closure_cases(rng):
         want, classes = reference_closure(m)
         got = closure(m)
+        assert verify_well_formed(got) == []  # built unchecked, so swept independently
         assert (dumps(got), list(got.nodes), list(got.marking.items()), got.left.slots, got.right.slots, got.name) \
             == (dumps(want), list(want.nodes), list(want.marking.items()), want.left.slots, want.right.slots, None)
         seen["cases"] += 1

@@ -3,6 +3,7 @@ import operator
 import os
 import pickle
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -168,6 +169,35 @@ def test_node_id_needs_an_atom():
         NodeId(())
 
 
+def test_retagging_matches_the_prefix_once(monkeypatch):
+    nid = NodeId(AtomicNodeId(f"i{k}", f"n{k}") for k in range(5))
+    matched = []
+    field = core._ATOM_FIELD
+
+    class Counting:
+        def match(self, text):
+            matched.append(text)
+            return field.match(text)
+
+    monkeypatch.setattr(core, "_ATOM_FIELD", Counting())
+    got = nid.retagged("f1")
+    assert matched == ["f1"]
+    monkeypatch.undo()
+    assert got == NodeId(AtomicNodeId(f"f1/{a.instance}", a.name) for a in nid)
+    assert all(type(a) is AtomicNodeId for a in got)
+
+
+def test_retagging_under_a_bad_prefix_raises_as_the_atom_would():
+    nid = NodeId.single("a", "g1")
+    for bad in ("x y", "x:y", "x+y", "x\n"):
+        with pytest.raises(MalformedModule) as checked:
+            AtomicNodeId(f"{bad}/a", "g1")
+        with pytest.raises(MalformedModule, match=re.escape(str(checked.value))):
+            nid.retagged(bad)
+    # an empty prefix is no valid field, but "/a" is: it is accepted as before
+    assert nid.retagged("") == NodeId.single("/a", "g1")
+
+
 def test_node_id_memory_is_bounded():
     atoms = [AtomicNodeId("i1", f"n{k}") for k in range(100_000)]
     tracemalloc.start()
@@ -326,6 +356,8 @@ def _outcome(fn):
         m = fn()
     except PetrimodError as e:
         return type(e), str(e)
+    # a glued result is built unchecked: the independent sweep must find nothing
+    assert verify_well_formed(m) == []
     return dumps(m), list(m.nodes), list(m.marking.items()), m.left.slots, m.right.slots, m.name
 
 
@@ -375,22 +407,57 @@ def test_compose_of_one_or_no_parts():
     assert structural_equal(compose(), empty_module())
 
 
-def _problem_nodes_for_a_row(monkeypatch, phil_src, n):
+def _nodes_kind_checked_for_a_row(monkeypatch, phil_src, n):
+    """Nodes that go through the one-kind-per-label rule, from
+    `Module(...)`'s checker and from gluing, while a row is evaluated."""
     env = parse(phil_src + "\nrow := " + " . ".join(["phil_with_forks"] * n) + "\n")
     seen = []
-    checker = core._problems
-    monkeypatch.setattr(core, "_problems", lambda nodes, *rest: seen.append(len(nodes)) or checker(nodes, *rest))
+    rule = core._kind_clashes
+    monkeypatch.setattr(core, "_kind_clashes", lambda first, nodes: rule(first, _tally(nodes, seen)))
     assert len(evaluate(env, "row").nodes) == 5 * n + 1
     monkeypatch.undo()
-    return sum(seen)
+    return len(seen)
+
+
+def _tally(items, seen):
+    for item in items:
+        seen.append(item)
+        yield item
 
 
 def test_a_composition_chain_is_checked_in_linear_work(monkeypatch):
     src = fixture_path("philosophers.hkl").read_text(encoding="utf-8")
-    short = _problem_nodes_for_a_row(monkeypatch, src, 100)
-    long = _problem_nodes_for_a_row(monkeypatch, src, 200)
-    # a fold that rebuilds the chain at every step checks ~N^2/2 nodes: ratio ~4
+    short = _nodes_kind_checked_for_a_row(monkeypatch, src, 100)
+    long = _nodes_kind_checked_for_a_row(monkeypatch, src, 200)
+    # a fold that checks the chain again at every step checks ~N^2/2 entries: ratio ~4
     assert long / short < 2.5, (short, long)
+
+
+def test_a_label_clash_without_a_pair_is_reported_as_the_checker_does():
+    p, q = node("a", "x", "p"), node("a", "y", "q")
+    mid = node("b", "z", "t")
+    clash = Node(NodeId.single("c", "x"), "q", Kind.TRANSITION)  # q is a place in the first part
+    parts = [module([p, q], left=[p.id]), module([mid], left=[mid.id]), module([clash], right=[clash.id])]
+    with pytest.raises(MalformedModule) as union:
+        Module([n for part in parts for n in part.nodes.values()])
+    assert str(union.value) == "label 'q' used with kinds place and transition"
+    with pytest.raises(MalformedModule, match=re.escape(str(union.value)) + r"\Z"):
+        compose(*parts)
+    # the binary folds reach the same clash in either grouping
+    for fold in (lambda: compose(compose(*parts[:2]), parts[2]), lambda: compose(parts[0], compose(*parts[1:]))):
+        with pytest.raises(MalformedModule, match=re.escape(str(union.value)) + r"\Z"):
+            fold()
+
+
+def test_renaming_checks_the_name_alone():
+    a, b = two_gamma_operands()
+    c = compose(a, b)
+    named = c.with_name("AB")
+    assert named.name == "AB" and structural_equal(named, c) and verify_well_formed(named) == []
+    with pytest.raises(MalformedModule, match="name must be a string or None, got 3"):
+        c.with_name(3)
+    with pytest.raises(MalformedModule, match="name must be a string or None"):
+        a.with_name(3)
 
 
 def _core_lines_composing_ring_atoms(src, n):

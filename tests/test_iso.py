@@ -121,6 +121,19 @@ def test_witness_replay_rejects_tampering(phil_env):
     assert not verify_witness(a, b, swapped)
 
 
+def test_witness_replay_rejects_a_node_named_twice():
+    p, t = node("a", "u1", "p"), node("a", "u2", "t")
+    a = module([p, t], edges=[(p.id, t.id)])
+    b = a.retagged("r")
+    u1, u2 = p.id, t.id
+    v1, v2 = u1.retagged("r"), u2.retagged("r")
+    assert verify_witness(a, b, IsoWitness(((u1, v1), (u2, v2))))
+    # the last pair for u1 is right, but the first one contradicts it
+    assert not verify_witness(a, b, IsoWitness(((u1, v2), (u1, v1), (u2, v2))))
+    assert not verify_witness(a, b, IsoWitness(((u1, v1), (u2, v2), (u2, v2))))
+    assert not verify_witness(a, b, IsoWitness(((u1, v1), (u2, v1))))  # an image named twice
+
+
 def test_witness_replay_rejects_extra_slots_and_edges():
     # every image of `a` fits in `b`, but `b` has more: a slot on each side, an edge
     x, y = node("a", "x", "alpha"), node("a", "y", "beta")

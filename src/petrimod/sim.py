@@ -17,8 +17,12 @@ so no field carries into the next.
 Each reached state that is not yet expanded keeps its enabled transitions as
 one int with a bit per transition id.  A new state starts from its parent's
 bits and re-tests only the transitions that consume a place the fired
-transition changed.  An `Invariant` of `sum`/`max` clauses is evaluated on
-the packed states through one field mask per clause.
+transition changed.  The sweep stores no arcs, only a running arc count per
+state: a state's arcs are its enabled transitions, in id order, whose
+successor passed the token cap and was stored, so `ReachGraph.arcs` rebuilds
+a state's row from the packed states when it is read.  An `Invariant` of
+`sum`/`max` clauses is evaluated on the packed states through one field mask
+per clause.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from bisect import bisect_right
 from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import compress, pairwise
+from itertools import compress, islice
 from typing import Callable, Collection, Iterable, Iterator, Mapping, NamedTuple
 
 from .core import NodeId
@@ -76,31 +80,50 @@ def fire(n: NetView, m: Mapping[NodeId, int], t: NodeId) -> Marking:
 
 
 class _Arcs(Sequence):
-    """Read-only `(src, transition, dst)` triples over two int columns.
+    """Read-only `(src, transition, dst)` triples, rebuilt from the states.
 
-    The sweep finds arcs in source order, so state s's arcs are the rows
-    `first[s]` up to `first[s + 1]`; a row finds its source by bisection.
+    `first[s]` counts the arcs of the states before s, so state s's arcs are
+    the rows `first[s]` up to `first[s + 1]`; a row finds its source by
+    bisection.  A state's arcs are its enabled transitions in id order whose
+    successor passes the token cap and is a stored state: a successor cut by
+    the cap fails the same test here, and one cut by `max_markings` was never
+    stored.  The first row read builds a `{state: index}` table.
     """
 
-    __slots__ = ("_first", "_tid", "_dst", "_transitions")
+    __slots__ = ("_first", "_states", "_rules", "_caps", "_index")
 
-    def __init__(self, first: array, tid: array, dst: array, transitions: tuple[NodeId, ...]):
-        self._first, self._tid, self._dst, self._transitions = first, tid, dst, transitions
+    def __init__(self, first: array, states: list[int], rules: tuple[tuple[NodeId, int, int, int], ...],
+                 caps: tuple[int, int]):
+        # rules: (transition, guard - 1 per pre-place, their guard bits, post - pre), in id order
+        self._first, self._states, self._rules, self._caps = first, states, rules, caps
+        self._index: dict[int, int] | None = None
 
     def __len__(self) -> int:
-        return len(self._tid)
+        return self._first[-1]
+
+    def _row(self, s: int) -> list[tuple[int, NodeId, int]]:
+        index = self._index
+        if index is None:
+            index = self._index = {m: i for i, m in enumerate(self._states)}
+        m, (over, guards) = self._states[s], self._caps
+        row = []
+        for t, h, g, delta in self._rules:
+            if (m + h) & g == g and not (m + delta + over) & guards:
+                dst = index.get(m + delta)
+                if dst is not None:
+                    row.append((s, t, dst))
+        return row
 
     def __getitem__(self, i):
         if isinstance(i, slice):
             return tuple(self[j] for j in range(len(self))[i])
         i = range(len(self))[i]
-        return bisect_right(self._first, i) - 1, self._transitions[self._tid[i]], self._dst[i]
+        s = bisect_right(self._first, i) - 1
+        return self._row(s)[i - self._first[s]]
 
     def __iter__(self) -> Iterator[tuple[int, NodeId, int]]:
-        ts, tid, dst = self._transitions, self._tid, self._dst
-        for s, (lo, hi) in enumerate(pairwise(self._first)):
-            for t, d in zip(tid[lo:hi], dst[lo:hi]):
-                yield s, ts[t], d
+        for s in range(len(self._states)):
+            yield from self._row(s)
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,7 +133,8 @@ class ReachGraph:
     State 0 is the initial marking.  `truncated` means a cap cut the sweep
     short, so absence from the graph proves nothing.  `vectors` lists each
     state's token counts in `places` order; `arcs` is a lazy sequence of
-    `(src, transition, dst)` in the order the sweep found them.
+    `(src, transition, dst)` in the order the sweep found them, whose rows
+    are rebuilt from the states when read; its length costs nothing.
     """
 
     places: tuple[NodeId, ...]
@@ -219,15 +243,16 @@ def reachability(
 
     start = sum(k << (bits * i) for i, k in enumerate(start_vec))
     states = [start]
-    seen = {start: 0}
+    seen = {start}
     parent, via = array("i", [-1]), array("i", [-1])
-    first, tid_col, dst_col = array("i", [0]), array("i"), array("i")
+    first, narcs = array("q", [0]), 0  # arcs before each state, then in all; may pass 2**31
     truncated = False
     # the enabled transitions of each reached state not yet expanded, one bit per id
     frontier = deque([sum(bit for bit, h, g in tests if (start + h) & g == g)])
 
     for head, m in enumerate(states):
         here = frontier.popleft()
+        narcs += here.bit_count()  # less one for each successor a cap cuts
         rest = here
         while rest:
             low = rest & -rest
@@ -237,14 +262,14 @@ def reachability(
             succ = m + delta
             if (succ + over) & guards:
                 truncated = True
+                narcs -= 1
                 continue
-            dst = seen.get(succ)
-            if dst is None:
+            if succ not in seen:
                 if len(states) >= max_markings:
                     truncated = True
+                    narcs -= 1
                     continue
-                dst = len(states)
-                seen[succ] = dst
+                seen.add(succ)
                 states.append(succ)
                 parent.append(head)
                 via.append(tid)
@@ -253,11 +278,10 @@ def reachability(
                     if (succ + h) & g == g:
                         mask |= bit
                 frontier.append(mask)
-            tid_col.append(tid)
-            dst_col.append(dst)
-        first.append(len(tid_col))
+        first.append(narcs)
 
-    arcs = _Arcs(first, tid_col, dst_col, transitions)
+    rules = tuple((t, h, g, delta) for t, (_, h, g), (delta, _, _) in zip(transitions, tests, moves))
+    arcs = _Arcs(first, states, rules, (over, guards))
     return ReachGraph(places, arcs, truncated, transitions, width, states, parent, via)
 
 
@@ -290,29 +314,34 @@ class Invariant:
 
     def _first_violation(self, g: ReachGraph) -> int | None:
         """The first state of g, in discovery order, where a clause fails,
-        found on the packed states."""
+        found on the packed states one clause at a time: each clause scans
+        only the states before the earliest failure found so far."""
         index = {p: i for i, p in enumerate(g.places)}
         bits = 8 * g._width
-        field = (1 << bits) - 1
+        field, guard = (1 << bits) - 1, 1 << (bits - 1)
         size = len(g.places) * g._width
-        checks = []  # (mask over the clause's place fields, their indices, agg, op, bound)
+        found = len(g._states)
         for agg, ps, op, bound in self.clauses:
             fields = {index[p] for p in ps if p in index}  # other places hold no tokens
             mask = sum(field << (bits * i) for i in fields)
-            # over no fields the masked counts are all zero, which sums to max's 0
-            checks.append((mask, fields, sum if agg == "sum" or not fields else max, _OPS[op], bound))
-
-        if g._width == 1:  # a byte per field: aggregate the masked state's bytes
-            for i, s in enumerate(g._states):
-                for mask, _, agg, op, bound in checks:
-                    if not op(agg((s & mask).to_bytes(size, "little")), bound):
-                        return i
-        else:
-            for i, s in enumerate(g._states):
-                for _, fields, agg, op, bound in checks:
-                    if not op(agg([s >> (bits * f) & field for f in fields]), bound):
-                        return i
-        return None
+            states = enumerate(islice(g._states, found))
+            k = bound - 1 if op in ("<", ">=") else bound  # max < b is max <= b - 1, max >= b is max > b - 1
+            if agg == "max" and fields and op not in ("==", "!=") and 0 <= k <= guard - 1:
+                # a stored count stays below guard - 1, so adding guard - 1 - k
+                # to each field sets its guard bit exactly when its count exceeds k
+                units = sum(1 << (bits * i) for i in fields)
+                add, test, above = units * (guard - 1 - k), units * guard, op in (">", ">=")
+                # the clause fails where `max > k` is not what it asks for
+                fails = (i for i, s in states if (not ((s & mask) + add) & test) is above)
+            else:
+                # over no fields the masked counts are all zero, which sums to max's 0
+                agg, op = sum if agg == "sum" or not fields else max, _OPS[op]
+                if g._width == 1:  # a byte per field: aggregate the masked state's bytes
+                    fails = (i for i, s in states if not op(agg((s & mask).to_bytes(size, "little")), bound))
+                else:
+                    fails = (i for i, s in states if not op(agg([s >> (bits * f) & field for f in fields]), bound))
+            found = next(fails, found)
+        return found if found < len(g._states) else None
 
 
 def check_invariant(

@@ -66,12 +66,9 @@ class _Numbered:
     A key is (kind, label or class size, per-label left and right index with
     0 for absent, in-degree, out-degree), counted from the edge set; a
     label-class node's key is ("label", class size).  The replay reuses the
-    `(left, right)` slot tables the keys read, kept as `slots`.  The integer
-    adjacency (`out`, `inn` and their sets) is built by `link`, which only
-    the search calls.  Adjacency lists are sorted by node number, never
-    taken from the order of the edge frozenset, so everything derived from
-    them (colours, search order, the witness) is independent of string
-    hashing.
+    `(left, right)` slot tables the keys read, kept as `slots`.  No adjacency
+    is built here: the forced path needs none, and the search builds its own
+    for both modules at once.
     """
 
     def __init__(self, m: Module, rename: bool):
@@ -96,25 +93,6 @@ class _Numbered:
             index_l, index_r = left.get(nid, _NO_SLOT)[1], right.get(nid, _NO_SLOT)[1]
             self.keys.append((node.kind, label, index_l, index_r, indeg[nid], out))
         self.keys += [("label", len(members)) for members in self.cores]
-
-    def link(self) -> None:
-        """Build the sorted integer adjacency lists and their sets."""
-        m = self.module
-        pos = {nid: i for i, nid in enumerate(self.ids)}
-        size = len(self.keys)
-        self.out: list[list[int]] = [[] for _ in range(size)]
-        self.inn: list[list[int]] = [[] for _ in range(size)]
-        for s, d in m.edges:
-            self.out[pos[s]].append(pos[d])
-            self.inn[pos[d]].append(pos[s])
-        for c, members in enumerate(self.cores, len(self.ids)):
-            for i in members:
-                self.out[i].append(c)
-            self.inn[c] = members
-        for adj in self.out + self.inn:
-            adj.sort()
-        self.out_set = [set(adj) for adj in self.out]
-        self.inn_set = [set(adj) for adj in self.inn]
 
 
 def _refine(keys: list, out: list[list[int]], inn: list[list[int]]) -> list[int]:
@@ -145,6 +123,15 @@ def _refine(keys: list, out: list[list[int]], inn: list[list[int]]) -> list[int]
 class _Search:
     """Colour refinement, then backtracking over a BFS order with an explicit stack.
 
+    The pair lives in one node space: `a`'s nodes are `0..na-1` and `b`'s
+    follow, label-class nodes included.  Each node has a sorted out-list and
+    in-list (`out`, `inn`), edge membership is one set of codes
+    `source * size + target` (`edges`), and `image` maps both ways: a node
+    of `a` to its image in `b` and back, -1 while unmapped.  Sorting by node
+    number, never by the order of the edge frozenset, keeps everything
+    derived (colours, search order, the witness) independent of string
+    hashing.
+
     Nodes of `a` are visited breadth-first, each component starting from a
     node of the smallest colour cell.  A root may map to any unmapped node of
     its colour; every other node only to an unmapped node of its colour
@@ -155,21 +142,34 @@ class _Search:
     """
 
     def __init__(self, ga: _Numbered, gb: _Numbered, budget: int):
-        self.ga = ga
-        self.gb = gb
         self.budget = budget
         self.steps = 0
-        ga.link()
-        gb.link()
-        self.fwd, self.rev = [-1] * len(ga.out), [-1] * len(gb.out)
+        self.na = len(ga.keys)
+        self.keys = ga.keys + gb.keys
+        self.size = size = len(self.keys)
+        self.out: list[list[int]] = [[] for _ in range(size)]
+        self.inn: list[list[int]] = [[] for _ in range(size)]
+        for g, base in ((ga, 0), (gb, self.na)):
+            pos = {nid: i for i, nid in enumerate(g.ids, base)}
+            for s, d in g.module.edges:
+                self.out[pos[s]].append(pos[d])
+                self.inn[pos[d]].append(pos[s])
+            for c, members in enumerate(g.cores, base + len(g.ids)):
+                for i in members:
+                    self.out[base + i].append(c)
+                self.inn[c] = [base + i for i in members]
+        for adj in self.out + self.inn:
+            adj.sort()
+        self.edges = {s * size + d for s, adj in enumerate(self.out) for d in adj}
+        self.image = [-1] * size
 
     def _order(self) -> tuple[list[int], list[tuple[int, bool] | None]]:
         """BFS order of `a` and, per position, (BFS parent, reached by an out-edge)."""
-        ga, ca, cell = self.ga, self.ca, self.cell_size
-        seen = [False] * len(ca)
+        colours, cell = self.colours, self.cell_size
+        seen = [False] * self.na
         order: list[int] = []
         link: list[tuple[int, bool] | None] = []
-        for root in sorted(range(len(ca)), key=lambda i: (cell[ca[i]], i)):
+        for root in sorted(range(self.na), key=lambda i: (cell[colours[i]], i)):
             if seen[root]:
                 continue
             seen[root] = True
@@ -179,7 +179,7 @@ class _Search:
             while k < len(order):
                 p = order[k]
                 k += 1
-                for adj, forward in ((ga.out[p], True), (ga.inn[p], False)):
+                for adj, forward in ((self.out[p], True), (self.inn[p], False)):
                     for x in adj:
                         if not seen[x]:
                             seen[x] = True
@@ -188,50 +188,44 @@ class _Search:
         return order, link
 
     def _candidates(self, u: int, link: tuple[int, bool] | None) -> list[int]:
-        c, cb, rev = self.ca[u], self.cb, self.rev
+        colours, image = self.colours, self.image
+        c = colours[u]
         if link is None:
             pool = self.cells_b[c]
         else:
             p, forward = link
-            pool = (self.gb.out if forward else self.gb.inn)[self.fwd[p]]
-        return [v for v in pool if cb[v] == c and rev[v] < 0]
+            pool = (self.out if forward else self.inn)[image[p]]
+        return [v for v in pool if colours[v] == c and image[v] < 0]
 
     def _feasible(self, u: int, v: int) -> bool:
-        ga, gb, fwd, rev = self.ga, self.gb, self.fwd, self.rev
+        out, inn, edges, image, size = self.out, self.inn, self.edges, self.image, self.size
         # edges to the already-mapped region must correspond in both directions
-        for adj, other in ((ga.out[u], gb.out_set[v]), (ga.inn[u], gb.inn_set[v])):
-            for x in adj:
-                y = fwd[x]
-                if y >= 0 and y not in other:
+        for x, y in ((u, v), (v, u)):
+            for w in out[x]:
+                z = image[w]
+                if z >= 0 and y * size + z not in edges:
                     return False
-        for adj, other in ((gb.out[v], ga.out_set[u]), (gb.inn[v], ga.inn_set[u])):
-            for y in adj:
-                x = rev[y]
-                if x >= 0 and x not in other:
+            for w in inn[x]:
+                z = image[w]
+                if z >= 0 and z * size + y not in edges:
                     return False
         return True
 
     def run(self) -> list[int] | None:
-        """The image of every node of `a`, or None when no bijection exists:
-        at once when the two graphs, refined together, differ in colours."""
-        ga, gb = self.ga, self.gb
-        na = len(ga.out)
-        # one node space: b's nodes follow a's
-        colours = _refine(
-            ga.keys + gb.keys,
-            ga.out + [[j + na for j in adj] for adj in gb.out],
-            ga.inn + [[j + na for j in adj] for adj in gb.inn],
-        )
-        self.ca, self.cb = colours[:na], colours[na:]
-        self.cell_size = Counter(self.ca)
-        if self.cell_size != Counter(self.cb):
+        """The image of every node of `a`, numbered within `b`, or None when
+        no bijection exists: at once when the two graphs, refined together,
+        differ in colours."""
+        na = self.na
+        self.colours = colours = _refine(self.keys, self.out, self.inn)
+        self.cell_size = Counter(colours[:na])
+        if self.cell_size != Counter(colours[na:]):
             return None
         self.cells_b: dict[int, list[int]] = {}
-        for v, c in enumerate(self.cb):
-            self.cells_b.setdefault(c, []).append(v)
+        for v in range(na, self.size):
+            self.cells_b.setdefault(colours[v], []).append(v)
         order, link = self._order()
         n = len(order)
-        fwd, rev = self.fwd, self.rev
+        image = self.image
         pools = [self._candidates(order[0], link[0])] if n else []
         tried = [0] * n
         depth = 0
@@ -248,19 +242,19 @@ class _Search:
                 if depth < 0:
                     return None
                 prev = order[depth]
-                rev[fwd[prev]] = -1
-                fwd[prev] = -1
+                image[image[prev]] = -1
+                image[prev] = -1
                 continue
             tried[depth] = k + 1
             self.steps += 1
             if self.steps > self.budget:
                 raise SearchBudgetExceeded(f"gave up after {self.budget} candidate expansions")
             v = pool[k]
-            fwd[u], rev[v] = v, u
+            image[u], image[v] = v, u
             depth += 1
             if depth < n:
                 pools.append(self._candidates(order[depth], link[depth]))
-        return fwd
+        return [v - na for v in image[:na]]
 
 
 def isomorphic(
@@ -311,14 +305,14 @@ def isomorphic(
     forced = len(keys_a) == len(ga.keys) and len(by_key) == len(gb.keys)
     if forced:
         # both start colourings are discrete: the bijection is forced, if any
-        fwd = [by_key[key] for key in ga.keys] if keys_a == by_key.keys() else None
+        image = [by_key[key] for key in ga.keys] if keys_a == by_key.keys() else None
     else:
-        fwd = _Search(ga, gb, budget).run()
-    if fwd is None:
+        image = _Search(ga, gb, budget).run()
+    if image is None:
         return None
 
     # zip stops at a's last module node: label-class nodes stay out of the witness
-    mapping = {u: gb.ids[v] for u, v in zip(ga.ids, fwd)}
+    mapping = {u: gb.ids[v] for u, v in zip(ga.ids, image)}
     renaming = _replay(a, b, mapping, rename, ga.slots, gb.slots)
     if renaming is None and not forced:
         raise AssertionError("the search proposed a mapping that fails replay")

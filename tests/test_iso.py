@@ -1,3 +1,4 @@
+import gc
 import itertools
 import os
 import random
@@ -285,6 +286,18 @@ def test_pairs_colour_refinement_cannot_separate(arcs_a, arcs_b):
         assert witness is not None and verify_witness(y, copy, witness)
 
 
+def test_search_backtracks_to_a_witness():
+    # one label on C6 and two C3s: one colour cell, so the search often maps a
+    # node into the wrong cycle and must undo the choice on both sides of the
+    # bijection before it finds the witness
+    a = graph("a", 12, C6 + [(s + 6, d + 6) for s, d in TWO_C3])
+    rng = random.Random(1812)
+    for _ in range(50):
+        b = shuffled(a.retagged("r"), rng)
+        witness = isomorphic(a, b)
+        assert witness is not None and verify_witness(a, b, witness)
+
+
 def cores(tag, labels):
     return module([Node(NodeId.single(tag, f"c{i}"), label, Kind.ABSTRACT) for i, label in enumerate(labels)])
 
@@ -364,6 +377,21 @@ def test_thousand_node_ring_without_recursion(phil_env):
     witness = isomorphic(phils, forks)
     assert witness is not None and verify_witness(phils, forks, witness)
     assert factorize(validate_net(phils)).matches
+
+
+@pytest.mark.parametrize("seats", [50, 200])
+def test_search_keeps_two_containers_per_node(phil_env, seats):
+    # one node space for the pair: an out-list and an in-list per node, one
+    # edge set and one image array, nothing per module or per direction
+    a = _ring(phil_env, ("right_use", "think", "eat", "left_use"), seats)
+    b = a.retagged("copy")
+    ga, gb = iso._Numbered(a, False), iso._Numbered(b, False)
+    gc.collect()
+    before = len(gc.get_objects())
+    search = iso._Search(ga, gb, 10**6)
+    assert search.run() is not None
+    gc.collect()
+    assert len(gc.get_objects()) - before <= 2 * (len(a.nodes) + len(b.nodes)) + 64
 
 
 def test_cli_witness_independent_of_hash_seed():

@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from .core import Module, verify_well_formed
-from .dsl import Environment, evaluate, parse
+from .dsl import Environment, _Evaluator, evaluate, parse
 from .errors import (
     AbstractNodePresent,
     DslError,
@@ -201,10 +201,11 @@ def _cmd_reach(args) -> int:
 
 def _cmd_check(args) -> int:
     env = _load(args.file)
+    evaluate_binding = _Evaluator(env)  # one context, so each definition is expanded once for the file
     bad = 0
     for name in env.names():
         try:
-            module = evaluate(env, name)
+            module = evaluate_binding(name)
         except PetrimodError as e:
             print(f"{name}: ERROR {e}")
             bad += 1

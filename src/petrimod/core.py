@@ -271,11 +271,11 @@ class Module:
 
     `nodes` maps NodeId to Node, `edges` is a set of (src, dst) NodeId pairs,
     `marking` holds positive token counts on places.  `Module(...)` validates
-    every structural invariant.  The results of `compose`, `closure` and
-    `with_name` are built trusted, through `_trusted`: their parts are valid
-    modules already, so gluing checks only that the parts agree on one kind
-    per label, and `with_name` only the name.  Instances are never mutated
-    afterwards.
+    every structural invariant.  The results of `compose`, `closure`,
+    `with_name` and `retagged` are built trusted, through `_trusted`: their
+    parts are valid modules already, so gluing checks only that the parts
+    agree on one kind per label, `with_name` only the name and `retagged`
+    only the prefix.  Instances are never mutated afterwards.
     """
 
     __slots__ = ("nodes", "edges", "left", "right", "marking", "name", "__weakref__", "_atoms", "_labels")
@@ -316,8 +316,9 @@ class Module:
 
         `atoms` is the union of the nodes' atom sets and `labels` maps each
         label to a node that carries it, in order of the label's first node,
-        or is None to derive it on demand.  Only `_glue` and `with_name`
-        build modules this way.
+        or is None to derive it on demand; only a node's label and kind are
+        read from it.  Only `_glue`, `with_name` and `_reminted` build
+        modules this way.
         """
         self = object.__new__(cls)
         _fill(self, nodes, edges, left, right, marking, name, atoms, labels)
@@ -372,15 +373,28 @@ class Module:
         Labels, kinds, structure and markings are untouched, so the copy is
         isomorphic to the original but atom-disjoint from it.
         """
-        remap = {nid: nid.retagged(prefix) for nid in self.nodes}
-        return Module(
-            [Node(remap[n.id], n.label, n.kind) for n in self.nodes.values()],
-            [(remap[s], remap[d]) for s, d in self.edges],
-            [remap[n] for n in self.left],
-            [remap[n] for n in self.right],
-            {remap[n]: c for n, c in self.marking.items()},
-            self.name,
-        )
+        if self.nodes and not _ATOM_FIELD.match(prefix):
+            # an invalid prefix raises here as the atom would; an empty one gives valid `/instance` fields
+            next(iter(self.nodes)).retagged(prefix)
+        return self._reminted(f"{prefix}/{{}}".format)
+
+    def _reminted(self, instance_of: Callable[[str], str]) -> "Module":
+        """A copy with every atom's instance mapped through `instance_of`,
+        built trusted: one remap per atom and no check.
+
+        `instance_of` must map valid instance fields to valid ones and
+        distinct instances to distinct ones, so the copy is well formed
+        because this module is.  Node, edge, slot, marking and label order
+        are kept.  Behind `retagged` and the `.hkl` evaluator's re-minting.
+        """
+        remap = {nid: NodeId([_mint_atom(instance_of(a.instance), a.name) for a in nid]) for nid in self.nodes}
+        nodes = {remap[nid]: Node(remap[nid], node.label, node.kind) for nid, node in self.nodes.items()}
+        get = remap.__getitem__
+        return Module._trusted(
+            nodes, frozenset([(get(s), get(d)) for s, d in self.edges]),
+            Interface(tuple(map(get, self.left))), Interface(tuple(map(get, self.right))),
+            {get(nid): count for nid, count in self.marking.items()}, self.name,
+            frozenset().union(*nodes), self._labels)
 
     def __repr__(self) -> str:
         name = self.name or "<anon>"

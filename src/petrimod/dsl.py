@@ -4,12 +4,12 @@ A file declares one alphabet, any number of snippet modules, and named
 definitions built from references with the composition operator `.` (or the
 synonym `•`), the postfix closure `^c`, `abstr(...)`, and the neutral
 element `E`.  Parsing is side-effect free; evaluation instantiates a fresh
-copy per snippet reference, so one definition never shares atoms with itself.
+copy per snippet reference, so one definition never shares atoms with itself,
+and expands each definition once, re-minting its later references.
 """
 
 from __future__ import annotations
 
-import itertools
 import re
 from collections import Counter
 from dataclasses import dataclass, field
@@ -464,47 +464,96 @@ def evaluate(env: Environment, target: str | ModuleExpr) -> Module:
     Every snippet reference instantiates a fresh copy; the instance counter
     restarts per call, so evaluating the same definition twice yields
     identical modules (compose the results only after retagging one of them).
+    Each definition is expanded once per call; its later references are
+    re-minted copies (see `_Evaluator`).
     """
-    counter = itertools.count(1)
-    expr = Ref(target) if isinstance(target, str) else target
-    return _eval(env, expr, counter)
+    return _Evaluator(env)(target)
 
 
-def _eval(env: Environment, expr: ModuleExpr, counter) -> Module:
-    """Post-order evaluation with explicit stacks, left operand first.
+class _Evaluator:
+    """One evaluation context: the instance counter and the definitions
+    evaluated so far.
 
-    `work` holds expressions still to evaluate and pending operations as
-    (function, arity) pairs; `values` holds finished operands.
+    A definition that another definition refers to, and whose expansion
+    minted the instance tags `i{c+1}` to `i{c+m}`, is kept as (module, c,
+    m).  A later reference at counter c' re-mints that module with every
+    `i{k}` shifted to `i{k+c'-c}` and advances the counter by m, which is
+    exactly what expanding it again would give: evaluation order, merges
+    and node order depend on no tag.
+    An abstract core is the one exception, since `abstract_of` takes its
+    atom from a digest of the tags, so a definition whose expansion ran an
+    `abstr` is not kept and is expanded at every reference.  A failed
+    expansion keeps nothing, so it fails again in the same way.
+
+    Calling the evaluator restarts the counter and keeps what was evaluated
+    before: `evaluate` makes one per call, `check` one for all bindings.
     """
-    work: list = [expr]
-    values: list[Module] = []
-    while work:
-        item = work.pop()
-        if isinstance(item, tuple):
-            fn, arity = item
-            args = values[-arity:]
-            del values[-arity:]
-            values.append(fn(*args))
-        elif isinstance(item, Ref):
-            if item.name in env.snippets:
-                values.append(instantiate(env.snippets[item.name], env.alphabet, f"i{next(counter)}"))
-            elif item.name in env.definitions:
-                work += ((partial(Module.with_name, name=item.name), 1), env.definitions[item.name])
+
+    def __init__(self, env: Environment):
+        self.env = env
+        # a definition no other refers to recurs only as a target or in a free expression,
+        # which expand it in full: keeping it would only hold its memory for `check`
+        self.referenced = {name for expr in env.definitions.values() for name in _refs(expr)}
+        self.kept: dict[str, tuple[Module, int, int]] = {}
+        self.count = 0  # instance tags minted so far
+        self.abstractions = 0  # `abstr` operations run so far
+
+    def __call__(self, target: str | ModuleExpr) -> Module:
+        self.count = 0
+        return self._eval(Ref(target) if isinstance(target, str) else target)
+
+    def _keep(self, name: str, first: int, abstractions: int, module: Module) -> Module:
+        """A definition's value; kept for re-minting if another definition
+        refers to it and its expansion ran no `abstr`."""
+        module = module.with_name(name)
+        if name in self.referenced and abstractions == self.abstractions:
+            self.kept[name] = module, first, self.count - first
+        return module
+
+    def _eval(self, expr: ModuleExpr) -> Module:
+        """Post-order evaluation with explicit stacks, left operand first.
+
+        `work` holds expressions still to evaluate and pending operations as
+        (function, arity) pairs; `values` holds finished operands.
+        """
+        env = self.env
+        work: list = [expr]
+        values: list[Module] = []
+        while work:
+            item = work.pop()
+            if isinstance(item, tuple):
+                fn, arity = item
+                args = values[-arity:]
+                del values[-arity:]
+                values.append(fn(*args))
+            elif isinstance(item, Ref):
+                if item.name in env.snippets:
+                    self.count += 1
+                    values.append(instantiate(env.snippets[item.name], env.alphabet, f"i{self.count}"))
+                elif item.name in self.kept:
+                    module, first, used = self.kept[item.name]
+                    shift = self.count - first
+                    values.append(module._reminted(lambda tag: f"i{int(tag[1:]) + shift}") if shift else module)
+                    self.count += used
+                elif item.name in env.definitions:
+                    keep = partial(self._keep, item.name, self.count, self.abstractions)
+                    work += ((keep, 1), env.definitions[item.name])
+                else:
+                    raise UnboundName(f"{item.name!r} is not bound", item.line or None)
+            elif isinstance(item, Compose):
+                # a left-associated spine a . b . c is one n-ary composition
+                operands = []
+                while isinstance(item, Compose):
+                    operands.append(item.right)
+                    item = item.left
+                work += ((compose, len(operands) + 1), *operands, item)
+            elif isinstance(item, Closure):
+                work += ((closure, 1), item.inner)
+            elif isinstance(item, Abstr):
+                self.abstractions += 1
+                work += ((abstract_of, 1), item.inner)
+            elif isinstance(item, Empty):
+                values.append(empty_module())
             else:
-                raise UnboundName(f"{item.name!r} is not bound", item.line or None)
-        elif isinstance(item, Compose):
-            # a left-associated spine a . b . c is one n-ary composition
-            operands = []
-            while isinstance(item, Compose):
-                operands.append(item.right)
-                item = item.left
-            work += ((compose, len(operands) + 1), *operands, item)
-        elif isinstance(item, Closure):
-            work += ((closure, 1), item.inner)
-        elif isinstance(item, Abstr):
-            work += ((abstract_of, 1), item.inner)
-        elif isinstance(item, Empty):
-            values.append(empty_module())
-        else:
-            raise TypeError(f"not a module expression: {item!r}")
-    return values[0]
+                raise TypeError(f"not a module expression: {item!r}")
+        return values[0]

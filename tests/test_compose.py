@@ -198,6 +198,43 @@ def test_retagging_under_a_bad_prefix_raises_as_the_atom_would():
     assert nid.retagged("") == NodeId.single("/a", "g1")
 
 
+def reference_retagged(m: Module, prefix: str) -> Module:
+    """`Module.retagged` as the checked constructor builds it."""
+    remap = {nid: nid.retagged(prefix) for nid in m.nodes}
+    return Module(
+        [Node(remap[n.id], n.label, n.kind) for n in m.nodes.values()],
+        [(remap[s], remap[d]) for s, d in m.edges],
+        [remap[n] for n in m.left],
+        [remap[n] for n in m.right],
+        {remap[n]: c for n, c in m.marking.items()},
+        m.name,
+    )
+
+
+def _retag_outcome(m: Module) -> tuple:
+    return dumps(m), [str(n) for n in m.nodes], [str(n) for n in m.marking], m.name, verify_well_formed(m)
+
+
+def test_trusted_retagging_matches_the_checked_constructor(phil_env, prod_env):
+    rng = random.Random(1902)
+    modules = [evaluate(env, name) for env in (phil_env, prod_env) for name in env.names()]
+    modules += [random_module(rng, f"r{i}", name=rng.choice((None, "box"))) for i in range(500)]
+    modules.append(empty_module())
+    for m in modules:
+        for prefix in ("copy", "f1", "a/b", ""):
+            assert _retag_outcome(m.retagged(prefix)) == _retag_outcome(reference_retagged(m, prefix))
+
+
+def test_retagging_a_module_under_a_bad_prefix_raises(phil_env):
+    ring = evaluate(phil_env, "phils_in_a_cycle")
+    for bad in ("x y", "x:y", "x+y"):
+        with pytest.raises(MalformedModule) as checked:
+            reference_retagged(ring, bad)
+        with pytest.raises(MalformedModule, match=re.escape(str(checked.value))):
+            ring.retagged(bad)
+        assert empty_module().retagged(bad).is_empty()  # no atom to refuse, as before
+
+
 def test_node_id_memory_is_bounded():
     atoms = [AtomicNodeId("i1", f"n{k}") for k in range(100_000)]
     tracemalloc.start()

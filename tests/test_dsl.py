@@ -1,10 +1,18 @@
+import functools
+import itertools
+import random
+import re
+from collections import Counter
+
 import pytest
 
-from petrimod import Kind, dumps, evaluate, isomorphic, parse, structural_equal
-from petrimod.dsl import Closure, Compose, Ref
+from petrimod import (Kind, Module, abstract_of, cli, closure, compose, dsl, dumps, empty_module, evaluate,
+                      fixture_path, isomorphic, parse, structural_equal)
+from petrimod.dsl import Abstr, Closure, Compose, Ref, _Evaluator, instantiate
 from petrimod.errors import (
     DslSyntaxError,
     DuplicateName,
+    PetrimodError,
     RecursiveDefinition,
     UnboundName,
     UnknownLabel,
@@ -249,3 +257,182 @@ def test_misordered_philosopher_assembly_stays_open(phil_env):
 
     good_cycle = evaluate(phil_env, "phils_in_a_cycle")
     assert isomorphic(bad_cycle, good_cycle) is None
+
+
+# -- one expansion per definition, against the plain expander ---------------------
+
+def reference_evaluate(env, target):
+    """The plain expander: every reference to a definition expands it again.
+
+    Kept as the reference engine for `evaluate`, which expands a definition
+    once and re-mints its later references.
+    """
+    counter = itertools.count(1)
+    work = [Ref(target) if isinstance(target, str) else target]
+    values = []
+    while work:
+        item = work.pop()
+        if isinstance(item, tuple):
+            fn, arity = item
+            args = values[-arity:]
+            del values[-arity:]
+            values.append(fn(*args))
+        elif isinstance(item, Ref):
+            if item.name in env.snippets:
+                values.append(instantiate(env.snippets[item.name], env.alphabet, f"i{next(counter)}"))
+            elif item.name in env.definitions:
+                work += ((functools.partial(Module.with_name, name=item.name), 1), env.definitions[item.name])
+            else:
+                raise UnboundName(f"{item.name!r} is not bound", item.line or None)
+        elif isinstance(item, Compose):
+            operands = []
+            while isinstance(item, Compose):
+                operands.append(item.right)
+                item = item.left
+            work += ((compose, len(operands) + 1), *operands, item)
+        elif isinstance(item, Closure):
+            work += ((closure, 1), item.inner)
+        elif isinstance(item, Abstr):
+            work += ((abstract_of, 1), item.inner)
+        else:
+            values.append(empty_module())
+    return values[0]
+
+
+RANDOM_ALPHABET = "alphabet { places: a, b; transitions: s, t; other: g; }\n"
+_RANDOM_LABELS = ("a", "b", "s", "t", "g")
+
+
+def _random_snippet(rng, name):
+    kinds = {"a": "place", "b": "place", "s": "transition", "t": "transition", "g": "node"}
+    nodes = [f"n{i}" for i in range(rng.randint(1, 4))]
+    lines = []
+    for n in nodes:
+        label = rng.choice(_RANDOM_LABELS)
+        marking = f" marking {rng.randint(1, 2)}" if kinds[label] == "place" and rng.random() < 0.3 else ""
+        lines.append(f"{kinds[label]} {n} label {label}{marking};")
+    lines += [f"arc {rng.choice(nodes)} -> {rng.choice(nodes)};" for _ in range(rng.randint(0, len(nodes)))]
+    lines.append("left: " + ", ".join(rng.sample(nodes, rng.randint(0, len(nodes)))) + ";")
+    lines.append("right: " + ", ".join(rng.sample(nodes, rng.randint(0, len(nodes)))) + ";")
+    return f"module {name} {{ " + " ".join(lines) + " }\n"
+
+
+def _random_expr(rng, names, depth):
+    """A random expression over `names`: repeated references, `^c`, `abstr`, `E`
+    and, now and then, an unbound name or an unnamed operand of `abstr`."""
+    roll = rng.random()
+    if depth <= 0 or roll < 0.3:
+        roll = rng.random()
+        if roll < 0.05:
+            return "E"
+        if roll < 0.07:
+            return "ghost"
+        return rng.choice(names)
+    if roll < 0.55:
+        if rng.random() < 0.5:  # the same operand again and again
+            return " . ".join([rng.choice(names)] * rng.randint(2, 4))
+        return " . ".join(_random_expr(rng, names, depth - 1) for _ in range(rng.randint(2, 3)))
+    if roll < 0.7:
+        return f"({_random_expr(rng, names, depth - 1)})^c"
+    if roll < 0.85:
+        inner = rng.choice(names) if rng.random() < 0.85 else _random_expr(rng, names, depth - 1)
+        return f"abstr({inner})"
+    return f"({_random_expr(rng, names, depth - 1)})"
+
+
+def random_program(rng):
+    """A seeded .hkl source: 1-3 snippets and 2-7 definitions, each referring
+    to snippets and earlier definitions, declared in shuffled order so that
+    forward references occur."""
+    snippets = [f"m{i}" for i in range(rng.randint(1, 3))]
+    blocks = [_random_snippet(rng, name) for name in snippets]
+    names = list(snippets)
+    for i in range(rng.randint(2, 7)):
+        # an empty definition abstracts to the same core at every reference
+        body = "E" if i == 0 and rng.random() < 0.2 else _random_expr(rng, names, 3)
+        blocks.append(f"d{i} := {body}\n")
+        names += [f"d{i}"] * 2  # definitions are referenced more often than snippets
+    rng.shuffle(blocks)
+    return RANDOM_ALPHABET + "".join(blocks), sorted(set(names))
+
+
+def _outcome(fn, *args):
+    try:
+        m = fn(*args)
+    except PetrimodError as e:
+        return type(e).__name__, str(e)
+    return dumps(m), [str(n) for n in m.nodes], [str(n) for n in m.marking], m.name
+
+
+def test_evaluation_matches_the_plain_expander_on_random_programs(monkeypatch):
+    rng = random.Random(1901)
+    seen = Counter()
+    remint = Module._reminted
+
+    def counting(self, instance_of):
+        seen["re-minted"] += 1
+        return remint(self, instance_of)
+
+    monkeypatch.setattr(Module, "_reminted", counting)
+    for _ in range(600):
+        source, names = random_program(rng)
+        env = parse(source)
+        shared = _Evaluator(env)  # one context over all bindings, as `check` uses
+        targets = list(env.names())
+        targets += [parse(f"{source}free__ := {_random_expr(rng, names, 3)}\n").definitions["free__"]
+                    for _ in range(2)]
+        for target in targets:
+            want = _outcome(reference_evaluate, env, target)
+            assert _outcome(evaluate, env, target) == want, (source, target)
+            assert _outcome(shared, target) == want, (source, target)
+            if len(want) == 2:
+                seen[want[0]] += 1
+            else:
+                seen["ok"] += 1
+                seen["abstr"] += '"abstr.' in want[0]  # an abstract core's id
+    assert all(seen[k] >= 100 for k in ("ok", "abstr", "re-minted", "UnnamedModule", "UnboundName")), seen
+    assert seen["NonDisjointOperands"] >= 10, seen
+
+
+def _count_instantiations(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args[2])
+        return instantiate(*args)
+
+    monkeypatch.setattr(dsl, "instantiate", counting)
+    return calls
+
+
+def test_a_ring_expands_its_seat_once(monkeypatch):
+    source = fixture_path("philosophers.hkl").read_text(encoding="utf-8")
+    env = parse(source + "ring := (" + " . ".join(["phil_with_forks"] * 200) + ")^c\n")
+    calls = _count_instantiations(monkeypatch)
+    ring = evaluate(env, "ring")
+    assert calls == ["i1", "i2", "i3", "i4"]  # right_use, think, eat, left_use; 800 without re-minting
+    same = dumps(ring) == dumps(reference_evaluate(env, "ring"))  # not compared by pytest: a diff this size is slow
+    assert same
+
+
+def test_check_expands_a_chain_of_definitions_once(monkeypatch, tmp_path, capsys):
+    source = fixture_path("philosophers.hkl").read_text(encoding="utf-8")
+    snippet = re.search(r"alphabet \{[^}]*\}", source).group() + re.search(r"module think \{[^}]*\}", source).group()
+    path = tmp_path / "chain.hkl"
+    path.write_text(snippet + "\nd0 := think\n" + "".join(f"d{i} := d{i - 1}\n" for i in range(1, 1000)))
+    calls = _count_instantiations(monkeypatch)
+    assert cli.main(["check", str(path)]) == 0
+    # one call for the snippet binding `think`, one for the whole chain
+    assert len(calls) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == ["think: ok"] + [f"d{i}: ok" for i in range(1000)]
+
+
+def test_only_referenced_definitions_are_kept(phil_env):
+    # `check` shares one evaluator over a file: a binding that nothing refers
+    # to is never met again, so keeping it would only hold its memory
+    evaluate_binding = _Evaluator(phil_env)
+    for name in phil_env.names():
+        evaluate_binding(name)
+    assert set(evaluate_binding.kept) == {
+        "fork", "fork_with_users", "forks_in_a_row", "phil", "phil_with_forks", "phils_in_a_row"}

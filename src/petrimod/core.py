@@ -275,10 +275,16 @@ class Module:
     `with_name` and `retagged` are built trusted, through `_trusted`: their
     parts are valid modules already, so gluing checks only that the parts
     agree on one kind per label, `with_name` only the name and `retagged`
-    only the prefix.  Instances are never mutated afterwards.
+    only the prefix.  A `compose` result is built on first read: until
+    `nodes`, `edges` or `marking` is read it is an `_Unread` module that
+    holds its interfaces, label table and operands (`_pending`), and that
+    read fills the three slots, through `_Unread.__getattr__`, with one glue
+    of all the built modules below it.  Instances never change what they
+    show afterwards.
     """
 
-    __slots__ = ("nodes", "edges", "left", "right", "marking", "name", "__weakref__", "_atoms", "_labels")
+    __slots__ = ("nodes", "edges", "left", "right", "marking", "name", "__weakref__", "_atoms", "_labels",
+                 "_pending")
 
     def __init__(
         self,
@@ -317,8 +323,9 @@ class Module:
         `atoms` is the union of the nodes' atom sets and `labels` maps each
         label to a node that carries it, in order of the label's first node,
         or is None to derive it on demand; only a node's label and kind are
-        read from it.  Only `_glue`, `with_name` and `_reminted` build
-        modules this way.
+        read from it.  Only `closure`, the first read of a `compose` result
+        (both through `_glue`), `with_name` and `_reminted` build modules
+        this way.
         """
         self = object.__new__(cls)
         _fill(self, nodes, edges, left, right, marking, name, atoms, labels)
@@ -412,6 +419,7 @@ def _fill(m: Module, nodes, edges, left, right, marking, name, atoms, labels) ->
     set_(m, "name", name)
     set_(m, "_atoms", atoms)
     set_(m, "_labels", labels)
+    set_(m, "_pending", None)
 
 
 def empty_module() -> Module:
@@ -424,49 +432,72 @@ def is_monolithic(a: Module) -> bool:
     return set(a.left) == set(a.right)
 
 
-def _glue(parts: Sequence[Module], cls: Mapping[NodeId, NodeId],
-          left: Iterable[NodeId], right: Iterable[NodeId]) -> Module:
-    """Build the module of `parts` with the nodes of each class merged into one.
+def _glue(parts: list[Module], cls: Mapping[NodeId, NodeId]) -> tuple:
+    """The nodes, edges, marking and atoms of `parts` with the nodes of each
+    class merged into one, and the map from a node id to its merged id.
 
     The one merge-and-rebuild behind `compose` and `closure`.  `cls` maps
     every merged node to a key its whole class shares, and the members of a
-    class share label and kind; `left` and `right` are the result's
-    interfaces in unmerged node ids.  A merged node takes the union of its
+    class share label and kind.  A merged node takes the union of its
     members' atoms, the sum of their tokens and the place of its first
     member in part order.  The parts are valid modules with disjoint atoms
-    and the edges, slots and marking go through the same class map as the
-    nodes, so the result is built trusted: the only check is that the parts
-    agree on one kind per label, with `_problems`' message for a clash.
+    that agree on one kind per label, and the edges and marking go through
+    the same class map as the nodes, so the caller builds its result
+    trusted, with no check at all.  `parts` is emptied part by part, so a
+    part that nothing else holds is freed as soon as it is glued.
     """
     members: dict[NodeId, list[NodeId]] = {}
     for nid, key in cls.items():
         members.setdefault(key, []).append(nid)
     target = {key: NodeId(frozenset().union(*group)) for key, group in members.items()}
     mp = {nid: target[key] for nid, key in cls.items()}.get
-    labels = _glued_labels(parts)
 
-    # a merged class keeps its first member's position; its Node is replaced below
-    node_maps = [part.nodes for part in parts]
-    nodes = dict(zip(map(mp, chain(*node_maps), chain(*node_maps)), chain.from_iterable(m.values() for m in node_maps)))
+    nodes: dict[NodeId, Node] = {}
+    marking: dict[NodeId, int] = {}
+    edges: list = []
+    atoms = []
+    for i, part in enumerate(parts):
+        parts[i] = None
+        node_map = part.nodes
+        if cls:
+            # a merged class keeps its first member's position; its Node is replaced below
+            nodes.update(zip(map(mp, node_map, node_map), node_map.values()))
+            # one pass per arc: measured faster than mapping the ends apart and zipping them back
+            edges += [(mp(s, s), mp(d, d)) for s, d in part.edges]
+            for nid, count in part.marking.items():
+                key = mp(nid, nid)
+                marking[key] = marking.get(key, 0) + count
+        else:  # a disjoint union: the part's own maps
+            nodes.update(node_map)
+            edges.append(part.edges)
+            marking.update(part.marking)
+        atoms.append(part._atoms)
     for nid in target.values():
         node = nodes[nid]
         nodes[nid] = Node(nid, node.label, node.kind)
+    return nodes, frozenset(edges) if cls else frozenset().union(*edges), marking, frozenset().union(*atoms), mp
 
-    # one pass per arc: measured faster than mapping the ends apart and zipping them back
-    if cls:
-        edges = frozenset([(mp(s, s), mp(d, d)) for part in parts for s, d in part.edges])
-    else:
-        edges = frozenset().union(*(part.edges for part in parts))
 
-    marking: dict[NodeId, int] = {}
-    for part in parts:
-        for nid, count in part.marking.items():
-            key = mp(nid, nid)
-            marking[key] = marking.get(key, 0) + count
-
-    atoms = frozenset().union(*(part.atom_set for part in parts))
-    return Module._trusted(nodes, edges, Interface(tuple(map(mp, left, left))),
-                           Interface(tuple(map(mp, right, right))), marking, None, atoms, labels)
+def _classes(pairs: Iterable[tuple[NodeId, NodeId]]) -> dict[NodeId, NodeId]:
+    """Union-find: every node id in `pairs` to a key its whole class shares."""
+    # every value stored is the key object of its own entry, so roots compare by identity;
+    # the finds are inlined, with path halving
+    parent: dict[NodeId, NodeId] = {}
+    for x, y in pairs:
+        x = parent.setdefault(x, x)
+        while (up := parent[x]) is not x:
+            parent[x] = x = parent[up]
+        y = parent.setdefault(y, y)
+        while (up := parent[y]) is not y:
+            parent[y] = y = parent[up]
+        if x is not y:
+            parent[x] = y
+    for x in parent:
+        root = parent[x]
+        while (up := parent[root]) is not root:
+            root = up
+        parent[x] = root
+    return parent
 
 
 def _glued_labels(parts: Sequence[Module]) -> dict[str, Node]:
@@ -477,6 +508,123 @@ def _glued_labels(parts: Sequence[Module]) -> dict[str, Node]:
     for problem in _kind_clashes(labels, chain.from_iterable(part._node_per_label().values() for part in parts[1:])):
         raise MalformedModule(problem)
     return labels
+
+
+class _Unread(Module):
+    """A `compose` result whose `nodes`, `edges` and `marking` are not built
+    yet.  The first read of one of them builds all three and makes the
+    result a plain `Module`, so built modules pay nothing for `__getattr__`."""
+
+    __slots__ = ()
+
+    def __getattr__(self, name: str):
+        # only the unset slots get here; without a record, a build was cut short and nothing is left to build
+        if name not in ("nodes", "edges", "marking") or self._pending is None:
+            raise AttributeError(name)
+        _build(self)
+        return getattr(self, name)
+
+    @property
+    def atom_set(self) -> frozenset[AtomicNodeId]:
+        return self._pending.frozen_atoms()
+
+
+class _Pending:
+    """What an unread `compose` result is made of, kept until its first read.
+
+    `parts` are its operands, each built or pending itself.  `cls` maps each
+    node of the parts that a harmonic pair merged, in the parts' own ids, to
+    the first member of its class, as `_glue` takes it.  `links` pairs each
+    merged node left in an interface, in its merged id, with that first
+    member: the ids a result composed from this one pairs.  `ends` maps
+    every interface node, in merged ids, to its Node.  `atoms` is the atom
+    set: a `set` this result owns until a later `compose` takes it over and
+    grows it in place (None then, and rebuilt from the parts if needed
+    again), or a `frozenset` once read through `atom_set`.
+    """
+
+    __slots__ = ("parts", "cls", "links", "ends", "atoms")
+
+    def __init__(self, parts: tuple[Module, ...], cls: dict[NodeId, NodeId], links: list[tuple[NodeId, NodeId]],
+                 ends: dict[NodeId, Node], atoms: set[AtomicNodeId]):
+        self.parts = parts
+        self.cls = cls
+        self.links = links
+        self.ends = ends
+        self.atoms = atoms
+
+    def atom_view(self) -> set[AtomicNodeId] | frozenset[AtomicNodeId]:
+        """The atom set, read only; rebuilt from the parts once taken over."""
+        if self.atoms is None:
+            sets, stack = [], list(self.parts)
+            while stack:
+                m = stack.pop()
+                pending = m._pending
+                if pending is None:
+                    sets.append(m._atoms)
+                elif pending.atoms is None:
+                    stack += pending.parts
+                else:
+                    sets.append(pending.atoms)
+            self.atoms = frozenset().union(*sets)
+        return self.atoms
+
+    def frozen_atoms(self) -> frozenset[AtomicNodeId]:
+        atoms = self.atom_view()
+        if type(atoms) is not frozenset:
+            self.atoms = atoms = frozenset(atoms)
+        return atoms
+
+
+def _build(m: Module) -> None:
+    """Fill the unset slots of a `compose` result on its first read.
+
+    The tree of pending results below `m` is walked with an explicit stack,
+    operands left to right, down to built modules: pending operands are
+    flattened, never built.  Their classes, joined by union-find through
+    their links, give one class map over the built leaves, and one `_glue`
+    of the leaves makes what `compose(*leaves)` makes, in the same node,
+    slot and marking order.  The record is dropped before the glue, so a
+    leaf that nothing else holds is freed as soon as it is glued.
+    """
+    leaves: list[Module] = []
+    records: list[_Pending] = []
+    stack = [m]
+    while stack:
+        part = stack.pop()
+        pending = part._pending
+        if pending is None:
+            leaves.append(part)
+        else:
+            records.append(pending)
+            stack += reversed(pending.parts)
+    if len(records) == 1:  # built parts only: `compose`'s classes are final
+        cls = records[0].cls
+    else:  # `m`'s own links join nothing: no result is composed from it
+        cls = _classes(chain(*(r.cls.items() for r in records), *(r.links for r in records[1:])))
+    # from here `leaves` holds the last reference to a leaf nothing else holds; a glue cut
+    # short by an exception leaves `m` with nothing to build (see `_Unread.__getattr__`)
+    set_ = object.__setattr__
+    set_(m, "_pending", None)
+    del part, records
+    nodes, edges, marking, atoms, _ = _glue(leaves, cls)
+    set_(m, "nodes", nodes)
+    set_(m, "edges", edges)
+    set_(m, "marking", marking)
+    set_(m, "_atoms", atoms)
+    set_(m, "__class__", Module)
+
+
+def _first_overlap(sets: Sequence[Iterable[AtomicNodeId]]) -> tuple[int, set[AtomicNodeId]]:
+    """The first operand whose atoms meet those of the operands before it,
+    with the atoms they share."""
+    seen: set[AtomicNodeId] = set()
+    for k, atoms in enumerate(sets):
+        shared = seen.intersection(atoms)
+        if shared:
+            return k, shared
+        seen |= atoms
+    raise AssertionError("the operands are disjoint")
 
 
 def compose(*parts: Module) -> Module:
@@ -493,42 +641,105 @@ def compose(*parts: Module) -> Module:
     leftover's old index and m the number of merged pairs of that label.
     Composition is total: without any harmonic pair it degrades to a
     disjoint union with concatenated interfaces.  No parts give the empty
-    module.  Only the interfaces are folded and the result is built once;
-    errors come in the fold's order.  The chain's right slots are kept in
-    one deque per label, index 1 first, so a step costs the size of its part.
+    module.
+
+    Every check runs here and every error is raised here, in the fold's
+    order: atoms shared with the parts before, a pair of two kinds, a label
+    of two kinds.  Only the interfaces, in merged ids, the label table and
+    the atom set are built here.  The nodes, edges and marking are built on
+    the first read of `nodes`, `edges` or `marking`, by one glue over all
+    the built modules under the result, so a fold of binary calls in any
+    grouping costs one n-ary glue.  The chain's right slots are kept in one
+    deque per label, index 1 first, so a step costs the size of its
+    interfaces.  The largest atom set a pending part owns becomes the
+    result's and grows in place, so a fold copies no atom set.
     """
-    atoms: set[AtomicNodeId] = set()
+    sets, ends_of = [], []
+    owner = None  # the pending part that owns the largest atom set; it grows into the result's
+    for part in parts:
+        pending = part._pending
+        if pending is None:
+            sets.append(part._atoms)
+            ends_of.append(part.nodes)
+        else:
+            atoms = pending.atom_view()
+            if type(atoms) is set and (owner is None or len(atoms) > len(owner.atoms)):
+                owner = pending
+            sets.append(atoms)
+            ends_of.append(pending.ends)
+    owned = owner.atoms if owner is not None else None
+    atoms = set()
+    total = 0
+    for s in sets:
+        total += len(s)
+        if s is not owned:
+            atoms |= s
+    if owned is not None:
+        overlap = None if len(atoms) + len(owned) == total and owned.isdisjoint(atoms) else _first_overlap(sets)
+    else:
+        overlap = None if len(atoms) == total else _first_overlap(sets)
+
     cls: dict[NodeId, NodeId] = {}  # merged node -> first member of its class
-    chain: dict[str, deque[Node]] = {}  # the chain's right slots by label, in slot order
+    tails: dict[str, deque[Node]] = {}  # the chain's right slots by label, in slot order
     paired_left: set[NodeId] = set()
     paired_right: set[NodeId] = set()
     for k, part in enumerate(parts):
+        ends = ends_of[k]
         pairs = []
         try:
-            shared = atoms.intersection(part.atom_set)
-            if shared:
-                raise NonDisjointOperands(shared)
-            for nid, (label, i) in sorted(part.left.indexed(part.label_of).items(), key=itemgetter(1)):
-                if chain.get(label):  # entry i of the label's deque, at the front once 1..i-1 are popped
-                    x, y = chain[label].popleft(), part.nodes[nid]
-                    if x.kind is not y.kind:
-                        raise KindMismatch(f"pair {label!r}@{i} merges {x.kind.value} with {y.kind.value}")
-                    pairs.append((x.id, y.id))
+            if overlap and k == overlap[0]:
+                raise NonDisjointOperands(overlap[1])
+            if tails:
+                for nid, (label, i) in sorted(part.left.indexed(lambda n: ends[n].label).items(), key=itemgetter(1)):
+                    if tails.get(label):  # entry i of the label's deque, at the front once 1..i-1 are popped
+                        x, y = tails[label].popleft(), ends[nid]
+                        if x.kind is not y.kind:
+                            raise KindMismatch(f"pair {label!r}@{i} merges {x.kind.value} with {y.kind.value}")
+                        pairs.append((x.id, y.id))
         except (NonDisjointOperands, KindMismatch):
             # the binary fold would have built, and so checked, the chain so far
             _glued_labels(parts[:k])
             raise
-        atoms |= part.atom_set
         for x, y in pairs:
             cls[y] = cls.setdefault(x, x)
             paired_right.add(x)
             paired_left.add(y)
-        for nid in reversed(part.right.slots):
-            node = part.nodes[nid]
-            chain.setdefault(node.label, deque()).appendleft(node)
-    left = [nid for part in parts for nid in part.left if nid not in paired_left]
-    right = [nid for part in reversed(parts) for nid in part.right if nid not in paired_right]
-    return _glue(parts, cls, left, right)
+        if k + 1 < len(parts):  # no part after the last pairs with its right slots
+            for nid in reversed(part.right.slots):
+                node = ends[nid]
+                tails.setdefault(node.label, deque()).appendleft(node)
+    labels = _glued_labels(parts)
+
+    left = [ends[nid] for part, ends in zip(parts, ends_of) for nid in part.left if nid not in paired_left]
+    right = [ends[nid] for part, ends in zip(reversed(parts), reversed(ends_of))
+             for nid in part.right if nid not in paired_right]
+    links: list[tuple[NodeId, NodeId]] = []
+    if cls:  # a merged node still in an interface gets its merged id here
+        members: dict[NodeId, list[NodeId]] = {}
+        for nid, key in cls.items():
+            members.setdefault(key, []).append(nid)
+        merged: dict[NodeId, Node] = {}
+        for side in (left, right):
+            for j, node in enumerate(side):
+                key = cls.get(node.id)
+                if key is not None:
+                    if key not in merged:
+                        nid = NodeId(frozenset().union(*members[key]))
+                        merged[key] = Node(nid, node.label, node.kind)
+                        links.append((nid, key))
+                    side[j] = merged[key]
+
+    if owner is not None:
+        owned |= atoms
+        atoms, owner.atoms = owned, None
+    result = object.__new__(_Unread)
+    set_ = object.__setattr__
+    set_(result, "left", Interface(tuple([node.id for node in left])))
+    set_(result, "right", Interface(tuple([node.id for node in right])))
+    set_(result, "name", None)
+    set_(result, "_labels", labels)
+    set_(result, "_pending", _Pending(parts, cls, links, {node.id: node for node in chain(left, right)}, atoms))
+    return result
 
 
 def closure(a: Module) -> Module:
@@ -542,30 +753,13 @@ def closure(a: Module) -> Module:
     total and idempotent.
     """
     pairs = [(r, l) for _, _, r, l in _pair_slots(a.right, a.left, a.label_of) if r != l]
-
-    parent: dict[NodeId, NodeId] = {}
-
-    def find(x: NodeId) -> NodeId:
-        root = x
-        while parent.get(root, root) != root:
-            root = parent[root]
-        while parent.get(x, x) != x:
-            parent[x], x = root, parent[x]
-        return root
-
-    for r, l in pairs:
-        parent.setdefault(r, r)
-        parent.setdefault(l, l)
-        parent[find(r)] = find(l)
-
+    nodes, edges, marking, atoms, mp = _glue([a], _classes(pairs))
     dropped_left = {l for _, l in pairs}
     dropped_right = {r for r, _ in pairs}
-    return _glue(
-        (a,),
-        {nid: find(nid) for nid in parent},
-        [n for n in a.left if n not in dropped_left],
-        [n for n in a.right if n not in dropped_right],
-    )
+    left = [mp(n, n) for n in a.left if n not in dropped_left]
+    right = [mp(n, n) for n in a.right if n not in dropped_right]
+    return Module._trusted(nodes, edges, Interface(tuple(left)), Interface(tuple(right)), marking, None, atoms,
+                           a._node_per_label())
 
 
 def abstract_of(a: Module) -> Module:
@@ -612,7 +806,7 @@ def _problems(
     Invariants that `Node`, `NodeId` and `Interface` enforce when they are
     built (non-empty string labels, non-empty atom sets, no repeated slot)
     are not checked again, and per-label indices need no check because
-    `Interface.indexed` derives them by counting.  `_glue` checks its
+    `Interface.indexed` derives them by counting.  `compose` checks its
     results with the one-kind-per-label rule alone, `_kind_clashes`.
     """
     for nid, node in nodes.items():

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -20,12 +21,15 @@ from petrimod import (
     Module,
     Node,
     NodeId,
+    abstract_of,
+    closure,
     compose,
     core,
     dumps,
     empty_module,
     evaluate,
     fixture_path,
+    instantiate,
     is_monolithic,
     parse,
     structural_equal,
@@ -436,6 +440,194 @@ def test_nary_compose_matches_the_binary_fold():
     # every branch is exercised: chained merges and each error kind
     assert min(seen.values()) >= 20, seen
     assert set(seen) == {"ok", "chained", "NonDisjointOperands", "KindMismatch", "MalformedModule"}
+
+
+# -- binary groupings, built on first read, against the reference -----------------
+
+
+def _grouping(rng, lo, hi, shape):
+    """A binary tree over the leaves lo..hi-1, as nested pairs of leaf indices:
+    a left fold, a right fold or a random grouping."""
+    if hi - lo == 1:
+        return lo
+    k = {"left": hi - 1, "right": lo + 1}.get(shape) or rng.randrange(lo + 1, hi)
+    return _grouping(rng, lo, k, shape), _grouping(rng, k, hi, shape)
+
+
+def _grouped(tree, leaves, glue, reads=(), given=None):
+    """Every composite of `tree`, by subtree, glued with `glue`, operands
+    first; `given` holds subtrees already evaluated, and the result of the
+    k-th call is read (its nodes) when k is in `reads`.  Stops at the first
+    error, returned as (call number, type, message), or None."""
+    given = given or {}
+    results = {}
+
+    def value(t):
+        if isinstance(t, int):
+            return leaves[t]
+        if t in given:
+            return given[t]
+        m = glue(value(t[0]), value(t[1]))
+        results[t] = m
+        if len(results) in reads:
+            m.nodes
+        return m
+
+    try:
+        value(tree)
+    except PetrimodError as e:
+        return results, (len(results) + 1, type(e), str(e))
+    return results, None
+
+
+def _read(m, atoms_first):
+    """`_outcome` of `m` with its atom set and label table, the atom set read
+    before or after the first read of the nodes.  Only a label table entry's
+    label and kind are ever read, so only they are compared."""
+    atoms = m.atom_set if atoms_first else None
+    outcome = _outcome(lambda: m)
+    return outcome, atoms or m.atom_set, [(label, n.kind) for label, n in m._node_per_label().items()]
+
+
+_UNREAD_OPS = (
+    None,
+    lambda m: m.with_name("W"),
+    closure,
+    abstract_of,  # an unnamed result: UnnamedModule, before anything is built
+    lambda m: abstract_of(m.with_name("W")),
+)
+
+
+def test_binary_groupings_match_the_reference_grouped_alike():
+    rng = random.Random(2020)
+    seen = Counter()
+    trees = 0
+    while trees < 1500:
+        parts = _chain(rng)
+        parts += [empty_module() for _ in range(2 - len(parts))]
+        n = len(parts)
+        tree = _grouping(rng, 0, n, rng.choice(("left", "right", "random", "random")))
+        reads = {k for k in range(1, n - 1) if rng.random() < 0.3}  # never the last call
+        lazy, error = _grouped(tree, parts, compose, reads)
+        ref, want = _grouped(tree, parts, reference_compose)
+        assert error == want  # same type and message, raised at the same call
+        runs = [(lazy, ref)]
+        seen[want[1].__name__ if want else "ok"] += 1
+        trees += 1
+        shared = [t for t in ref if t != tree]
+        if shared and rng.random() < 0.4:
+            # a subtree shared with a second tree whose other leaves are atom-disjoint copies
+            sub = rng.choice(shared)
+            copies = [part.retagged("s") for part in parts]
+            lazy2, error = _grouped(tree, copies, compose, given={sub: lazy[sub]})
+            ref2, want = _grouped(tree, copies, reference_compose, given={sub: ref[sub]})
+            assert error == want
+            runs.append((lazy2, ref2))
+            trees += 1
+        op = rng.choice(_UNREAD_OPS)
+        for lazy, ref in runs:
+            if op and tree in ref:
+                assert _outcome(lambda: op(lazy[tree])) == _outcome(lambda: op(ref[tree]))
+            order = sorted(ref, key=lambda t: t != tree)  # the whole tree first, then its parts
+            for t in order:
+                atoms_first = rng.random() < 0.5
+                assert _read(lazy[t], atoms_first) == _read(ref[t], atoms_first)
+                seen["chained"] += any(len(nid.atoms) > 2 for nid in ref[t].nodes)
+    # every branch is exercised: chained merges and each error kind
+    assert min(seen.values()) >= 20, seen
+    assert set(seen) == {"ok", "chained", "NonDisjointOperands", "KindMismatch", "MalformedModule"}
+
+
+def _fork_seats(env, n):
+    """The leaves of the fork-centric ring of n seats: think, left_use,
+    right_use and eat per seat."""
+    names = ("think", "left_use", "right_use", "eat")
+    return [[instantiate(env.snippets[name], env.alphabet, f"f{i}.{k}") for k, name in enumerate(names)]
+            for i in range(n)]
+
+
+def _fold_fork_seats(seats):
+    """The ring's open row as bench's fork job folds it: per seat
+    think . (left_use . right_use) . eat, seats left-associated."""
+    row = None
+    for think, left, right, eat in seats:
+        seat = compose(compose(think, compose(left, right)), eat)
+        row = seat if row is None else compose(row, seat)
+    return row
+
+
+def _core_lines_folding_a_fork_ring(env, n):
+    """Line events inside core.py while binary `compose` calls fold the
+    fork-centric ring of n seats and `closure` closes it."""
+    seats = _fork_seats(env, n)
+    count = 0
+
+    def tracer(frame, event, arg):
+        nonlocal count
+        if frame.f_code.co_filename != core.__file__:
+            return None
+        count += event == "line"
+        return tracer
+
+    outer = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        ring = closure(_fold_fork_seats(seats))
+    finally:
+        sys.settrace(outer)
+    assert (len(ring.nodes), len(ring.edges), sum(ring.marking.values())) == (5 * n, 8 * n, 2 * n)
+    return count
+
+
+def test_a_binary_fold_of_the_fork_ring_is_linear_work(phil_env):
+    short = _core_lines_folding_a_fork_ring(phil_env, 100)
+    long = _core_lines_folding_a_fork_ring(phil_env, 200)
+    # rebuilding the growing row at every step gives about 4
+    assert long / short <= 2.2, (short, long)
+
+
+def _links(tag, n):
+    """n modules x -> t -> y with x on the left and y on the right, both
+    labelled p, so that composing them in a row merges each y with the next x."""
+    links = []
+    for i in range(n):
+        x, t, y = node(f"{tag}{i}", "x", "p"), node(f"{tag}{i}", "t", "t"), node(f"{tag}{i}", "y", "p")
+        links.append(module([x, t, y], [(x.id, t.id), (t.id, y.id)], [x.id], [y.id]))
+    return links
+
+
+def _right_nested(links):
+    chain = links[-1]
+    for link in reversed(links[:-1]):
+        chain = compose(link, chain)
+    return chain
+
+
+def test_a_right_nested_chain_of_ten_thousand_calls_builds_at_its_first_read():
+    assert sys.getrecursionlimit() <= 1000
+    n = 10_000
+    links = _links("c", n)
+    chain = _right_nested(links)
+    assert chain.left.slots == links[0].left.slots and chain.right.slots == links[-1].right.slots
+    # the first read flattens 10^4 nested results, and then drops them
+    assert (len(chain.nodes), len(chain.edges)) == (2 * n + 1, 2 * n)
+    assert verify_well_formed(chain) == []
+    assert chain.nodes[links[1].left[0].merge(links[0].right[0])].label == "p"
+    # an unread chain as deep is dropped without a read
+    _right_nested(_links("u", n))
+
+
+def test_a_read_result_lets_its_leaves_go(phil_env):
+    seats = _fork_seats(phil_env, 3)
+    leaf = weakref.ref(seats[0][1])
+    middle = compose(compose(seats[0][0], compose(seats[0][1], seats[0][2])), seats[0][3])
+    row = _fold_fork_seats(seats)
+    del seats
+    assert leaf() is not None  # the unread row still holds what it is made of
+    assert len(closure(row).nodes) == 15
+    assert leaf() is not None  # the unread intermediate still holds it
+    del middle
+    assert leaf() is None
 
 
 def test_compose_of_one_or_no_parts():

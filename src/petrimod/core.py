@@ -276,11 +276,11 @@ class Module:
     parts are valid modules already, so gluing checks only that the parts
     agree on one kind per label, `with_name` only the name and `retagged`
     only the prefix.  A `compose` result is built on first read: until
-    `nodes`, `edges` or `marking` is read it is an `_Unread` module that
-    holds its interfaces, label table and operands (`_pending`), and that
-    read fills the three slots, through `_Unread.__getattr__`, with one glue
-    of all the built modules below it.  Instances never change what they
-    show afterwards.
+    `nodes`, `edges`, `marking`, `left` or `right` is read it is an
+    `_Unread` module that holds its label table and a record of what it is
+    made of (`_pending`), and that read fills the five slots, through
+    `_Unread.__getattr__`, with one glue of all the built modules below it.
+    Instances never change what they show afterwards.
     """
 
     __slots__ = ("nodes", "edges", "left", "right", "marking", "name", "__weakref__", "_atoms", "_labels",
@@ -496,7 +496,8 @@ def _classes(pairs: Iterable[tuple[NodeId, NodeId]]) -> dict[NodeId, NodeId]:
         root = parent[x]
         while (up := parent[root]) is not root:
             root = up
-        parent[x] = root
+        while x is not root:  # the whole path to the root, so no later walk takes it again
+            parent[x], x = root, parent[x]
     return parent
 
 
@@ -511,15 +512,16 @@ def _glued_labels(parts: Sequence[Module]) -> dict[str, Node]:
 
 
 class _Unread(Module):
-    """A `compose` result whose `nodes`, `edges` and `marking` are not built
-    yet.  The first read of one of them builds all three and makes the
-    result a plain `Module`, so built modules pay nothing for `__getattr__`."""
+    """A `compose` result whose `nodes`, `edges`, `marking`, `left` and
+    `right` are not built yet.  The first read of one of them builds all
+    five and makes the result a plain `Module`, so built modules pay
+    nothing for `__getattr__`."""
 
     __slots__ = ()
 
     def __getattr__(self, name: str):
         # only the unset slots get here; without a record, a build was cut short and nothing is left to build
-        if name not in ("nodes", "edges", "marking") or self._pending is None:
+        if name not in ("nodes", "edges", "marking", "left", "right") or self._pending is None:
             raise AttributeError(name)
         _build(self)
         return getattr(self, name)
@@ -532,24 +534,27 @@ class _Unread(Module):
 class _Pending:
     """What an unread `compose` result is made of, kept until its first read.
 
-    `parts` are its operands, each built or pending itself.  `cls` maps each
-    node of the parts that a harmonic pair merged, in the parts' own ids, to
-    the first member of its class, as `_glue` takes it.  `links` pairs each
-    merged node left in an interface, in its merged id, with that first
-    member: the ids a result composed from this one pairs.  `ends` maps
-    every interface node, in merged ids, to its Node.  `atoms` is the atom
-    set: a `set` this result owns until a later `compose` takes it over and
-    grows it in place (None then, and rebuilt from the parts if needed
-    again), or a `frozenset` once read through `atom_set`.
+    `parts` are its operands: a built one as itself, a pending one as its
+    own record, never as the module, so a result stays buildable when an
+    operand is read afterwards.  Everything here is in leaf ids, the ids of
+    the built modules below.  `cls` maps each node that a harmonic pair
+    merged to the first member of its class, as `_glue` takes it.  `left`
+    and `right` are the result's interfaces, each merged node in the id of
+    the member that fills the slot, and `ends` maps every interface node to
+    its Node.  `atoms` is the atom set: a `set` this result owns until a
+    later `compose` takes it over and grows it in place (None then, and
+    rebuilt from the parts if needed again), or a `frozenset` once read
+    through `atom_set`.
     """
 
-    __slots__ = ("parts", "cls", "links", "ends", "atoms")
+    __slots__ = ("parts", "cls", "left", "right", "ends", "atoms")
 
-    def __init__(self, parts: tuple[Module, ...], cls: dict[NodeId, NodeId], links: list[tuple[NodeId, NodeId]],
-                 ends: dict[NodeId, Node], atoms: set[AtomicNodeId]):
+    def __init__(self, parts: tuple[Module | _Pending, ...], cls: dict[NodeId, NodeId], left: Interface,
+                 right: Interface, ends: dict[NodeId, Node], atoms: set[AtomicNodeId]):
         self.parts = parts
         self.cls = cls
-        self.links = links
+        self.left = left
+        self.right = right
         self.ends = ends
         self.atoms = atoms
 
@@ -558,14 +563,13 @@ class _Pending:
         if self.atoms is None:
             sets, stack = [], list(self.parts)
             while stack:
-                m = stack.pop()
-                pending = m._pending
-                if pending is None:
-                    sets.append(m._atoms)
-                elif pending.atoms is None:
-                    stack += pending.parts
+                part = stack.pop()
+                if type(part) is not _Pending:
+                    sets.append(part._atoms)
+                elif part.atoms is None:
+                    stack += part.parts
                 else:
-                    sets.append(pending.atoms)
+                    sets.append(part.atoms)
             self.atoms = frozenset().union(*sets)
         return self.atoms
 
@@ -579,38 +583,40 @@ class _Pending:
 def _build(m: Module) -> None:
     """Fill the unset slots of a `compose` result on its first read.
 
-    The tree of pending results below `m` is walked with an explicit stack,
-    operands left to right, down to built modules: pending operands are
-    flattened, never built.  Their classes, joined by union-find through
-    their links, give one class map over the built leaves, and one `_glue`
-    of the leaves makes what `compose(*leaves)` makes, in the same node,
-    slot and marking order.  The record is dropped before the glue, so a
-    leaf that nothing else holds is freed as soon as it is glued.
+    The tree of records below `m` is walked with an explicit stack,
+    operands left to right, down to built modules.  Their classes, all in
+    leaf ids, joined by union-find give one class map over the built
+    leaves, and one `_glue` of the leaves makes what `compose(*leaves)`
+    makes, in the same node, slot and marking order; the interfaces go
+    through the map it returns, so each merged id is minted there, once.
+    The record is dropped before the glue, so a leaf that nothing else
+    holds is freed as soon as it is glued.
     """
+    record = m._pending
     leaves: list[Module] = []
     records: list[_Pending] = []
-    stack = [m]
+    stack = [record]
     while stack:
         part = stack.pop()
-        pending = part._pending
-        if pending is None:
-            leaves.append(part)
+        if type(part) is _Pending:
+            records.append(part)
+            stack += reversed(part.parts)
         else:
-            records.append(pending)
-            stack += reversed(pending.parts)
-    if len(records) == 1:  # built parts only: `compose`'s classes are final
-        cls = records[0].cls
-    else:  # `m`'s own links join nothing: no result is composed from it
-        cls = _classes(chain(*(r.cls.items() for r in records), *(r.links for r in records[1:])))
+            leaves.append(part)
+    # one record means built parts only, whose classes `compose` left final
+    cls = record.cls if len(records) == 1 else _classes(chain.from_iterable(r.cls.items() for r in records))
+    left, right = record.left, record.right
     # from here `leaves` holds the last reference to a leaf nothing else holds; a glue cut
     # short by an exception leaves `m` with nothing to build (see `_Unread.__getattr__`)
     set_ = object.__setattr__
     set_(m, "_pending", None)
-    del part, records
-    nodes, edges, marking, atoms, _ = _glue(leaves, cls)
+    del part, record, records
+    nodes, edges, marking, atoms, mp = _glue(leaves, cls)
     set_(m, "nodes", nodes)
     set_(m, "edges", edges)
     set_(m, "marking", marking)
+    set_(m, "left", Interface(tuple([mp(nid, nid) for nid in left])))
+    set_(m, "right", Interface(tuple([mp(nid, nid) for nid in right])))
     set_(m, "_atoms", atoms)
     set_(m, "__class__", Module)
 
@@ -645,28 +651,32 @@ def compose(*parts: Module) -> Module:
 
     Every check runs here and every error is raised here, in the fold's
     order: atoms shared with the parts before, a pair of two kinds, a label
-    of two kinds.  Only the interfaces, in merged ids, the label table and
-    the atom set are built here.  The nodes, edges and marking are built on
-    the first read of `nodes`, `edges` or `marking`, by one glue over all
-    the built modules under the result, so a fold of binary calls in any
-    grouping costs one n-ary glue.  The chain's right slots are kept in one
-    deque per label, index 1 first, so a step costs the size of its
-    interfaces.  The largest atom set a pending part owns becomes the
+    of two kinds.  Only the interfaces, in leaf ids (the ids of the built
+    modules under the result, read through each pending operand's record),
+    the label table and the atom set are built here.  The nodes, edges,
+    marking and interfaces are built on the first read of `nodes`, `edges`,
+    `marking`, `left` or `right`, by one glue over all the built modules
+    under the result, so a fold of binary calls in any grouping costs one
+    n-ary glue and mints each merged id once.  The chain's right slots are
+    kept in one deque per label, index 1 first, so a step costs the size of
+    its interfaces.  The largest atom set a pending part owns becomes the
     result's and grows in place, so a fold copies no atom set.
     """
-    sets, ends_of = [], []
+    sets, ends_of, records = [], [], []  # a record: a built part itself, or a pending part's `_Pending`
     owner = None  # the pending part that owns the largest atom set; it grows into the result's
     for part in parts:
         pending = part._pending
         if pending is None:
             sets.append(part._atoms)
             ends_of.append(part.nodes)
+            records.append(part)
         else:
             atoms = pending.atom_view()
             if type(atoms) is set and (owner is None or len(atoms) > len(owner.atoms)):
                 owner = pending
             sets.append(atoms)
             ends_of.append(pending.ends)
+            records.append(pending)
     owned = owner.atoms if owner is not None else None
     atoms = set()
     total = 0
@@ -683,7 +693,7 @@ def compose(*parts: Module) -> Module:
     tails: dict[str, deque[Node]] = {}  # the chain's right slots by label, in slot order
     paired_left: set[NodeId] = set()
     paired_right: set[NodeId] = set()
-    for k, part in enumerate(parts):
+    for k, part in enumerate(records):
         ends = ends_of[k]
         pairs = []
         try:
@@ -704,41 +714,26 @@ def compose(*parts: Module) -> Module:
             cls[y] = cls.setdefault(x, x)
             paired_right.add(x)
             paired_left.add(y)
-        if k + 1 < len(parts):  # no part after the last pairs with its right slots
+        if k + 1 < len(records):  # no part after the last pairs with its right slots
             for nid in reversed(part.right.slots):
                 node = ends[nid]
                 tails.setdefault(node.label, deque()).appendleft(node)
     labels = _glued_labels(parts)
 
-    left = [ends[nid] for part, ends in zip(parts, ends_of) for nid in part.left if nid not in paired_left]
-    right = [ends[nid] for part, ends in zip(reversed(parts), reversed(ends_of))
+    left = [ends[nid] for part, ends in zip(records, ends_of) for nid in part.left if nid not in paired_left]
+    right = [ends[nid] for part, ends in zip(reversed(records), reversed(ends_of))
              for nid in part.right if nid not in paired_right]
-    links: list[tuple[NodeId, NodeId]] = []
-    if cls:  # a merged node still in an interface gets its merged id here
-        members: dict[NodeId, list[NodeId]] = {}
-        for nid, key in cls.items():
-            members.setdefault(key, []).append(nid)
-        merged: dict[NodeId, Node] = {}
-        for side in (left, right):
-            for j, node in enumerate(side):
-                key = cls.get(node.id)
-                if key is not None:
-                    if key not in merged:
-                        nid = NodeId(frozenset().union(*members[key]))
-                        merged[key] = Node(nid, node.label, node.kind)
-                        links.append((nid, key))
-                    side[j] = merged[key]
 
     if owner is not None:
         owned |= atoms
         atoms, owner.atoms = owned, None
     result = object.__new__(_Unread)
     set_ = object.__setattr__
-    set_(result, "left", Interface(tuple([node.id for node in left])))
-    set_(result, "right", Interface(tuple([node.id for node in right])))
     set_(result, "name", None)
     set_(result, "_labels", labels)
-    set_(result, "_pending", _Pending(parts, cls, links, {node.id: node for node in chain(left, right)}, atoms))
+    set_(result, "_pending", _Pending(tuple(records), cls, Interface(tuple([node.id for node in left])),
+                                      Interface(tuple([node.id for node in right])),
+                                      {node.id: node for node in chain(left, right)}, atoms))
     return result
 
 

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from petrimod import Alphabet, Module, Node, NodeId, fixture_path, parse
@@ -19,6 +21,27 @@ def module(nodes, edges=(), left=(), right=(), marking=None, name=None) -> Modul
     ids = {n.id for n in nodes}
     assert set(left) <= ids and set(right) <= ids
     return Module(nodes, edges, left, right, marking, name)
+
+
+def line_events(path: str, fn):
+    """`fn()` and the number of line events it runs inside the source file
+    `path`: a work count that does not depend on the machine."""
+    count = 0
+
+    def tracer(frame, event, arg):
+        nonlocal count
+        if frame.f_code.co_filename != path:
+            return None
+        count += event == "line"
+        return tracer
+
+    outer = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        result = fn()
+    finally:
+        sys.settrace(outer)
+    return count, result
 
 
 @pytest.fixture(scope="session")

@@ -1,9 +1,20 @@
 import random
 
-from petrimod import Module, Node, NodeId, closure, compose, dumps, empty_module, structural_equal, verify_well_formed
+from petrimod import (
+    Module,
+    Node,
+    NodeId,
+    closure,
+    compose,
+    core,
+    dumps,
+    empty_module,
+    structural_equal,
+    verify_well_formed,
+)
 from petrimod.generate import random_module
 
-from conftest import module, node
+from conftest import line_events, module, node
 
 
 def _sides(m):
@@ -198,3 +209,22 @@ def test_cycles_close_completely(phil_env):
     for name in ("forks_in_a_cycle", "phils_in_a_cycle"):
         m = evaluate(phil_env, name)
         assert len(m.left) == 0 and len(m.right) == 0
+
+
+def _core_lines_closing_a_shifted_module(k):
+    """Line events inside core.py while `closure` closes a one-label module
+    whose left slots are its right slots shifted by one, so its k pairs
+    chain all k + 1 nodes into one class."""
+    ns = [node("s", f"n{i}", "p") for i in range(k + 1)]
+    ids = [n.id for n in ns]
+    m = module(ns, left=ids[1:], right=ids[:-1])
+    count, c = line_events(core.__file__, lambda: closure(m))
+    assert list(c.nodes) == [NodeId(m.atom_set)] and not c.left and not c.right
+    return count
+
+
+def test_closing_a_long_chain_of_pairs_is_linear_work():
+    short = _core_lines_closing_a_shifted_module(500)
+    long = _core_lines_closing_a_shifted_module(1000)
+    # walking every node to its root without compressing the path gives about 4
+    assert long / short <= 2.2, (short, long)

@@ -40,7 +40,7 @@ from petrimod import (
 from petrimod.errors import KindMismatch, MalformedModule, NonDisjointOperands, PetrimodError
 from petrimod.generate import random_module
 
-from conftest import module, node
+from conftest import line_events, module, node
 
 
 def _sides(m):
@@ -457,8 +457,9 @@ def _grouping(rng, lo, hi, shape):
 def _grouped(tree, leaves, glue, reads=(), given=None):
     """Every composite of `tree`, by subtree, glued with `glue`, operands
     first; `given` holds subtrees already evaluated, and the result of the
-    k-th call is read (its nodes) when k is in `reads`.  Stops at the first
-    error, returned as (call number, type, message), or None."""
+    k-th call is read (its nodes, left or right interface, in turn) when k
+    is in `reads`.  Stops at the first error, returned as (call number,
+    type, message), or None."""
     given = given or {}
     results = {}
 
@@ -470,7 +471,7 @@ def _grouped(tree, leaves, glue, reads=(), given=None):
         m = glue(value(t[0]), value(t[1]))
         results[t] = m
         if len(results) in reads:
-            m.nodes
+            getattr(m, ("nodes", "left", "right")[len(results) % 3])
         return m
 
     try:
@@ -480,13 +481,16 @@ def _grouped(tree, leaves, glue, reads=(), given=None):
     return results, None
 
 
-def _read(m, atoms_first):
-    """`_outcome` of `m` with its atom set and label table, the atom set read
-    before or after the first read of the nodes.  Only a label table entry's
-    label and kind are ever read, so only they are compared."""
-    atoms = m.atom_set if atoms_first else None
+_FIRST_READS = ("atom_set", "left", "right", "nodes")
+
+
+def _read(m, first):
+    """What `m` shows to a first read of `first`, one of `_FIRST_READS`,
+    then its `_outcome`, atom set and label table.  Only a label table
+    entry's label and kind are ever read, so only they are compared."""
+    before = getattr(m, first)
     outcome = _outcome(lambda: m)
-    return outcome, atoms or m.atom_set, [(label, n.kind) for label, n in m._node_per_label().items()]
+    return before, outcome, m.atom_set, [(label, n.kind) for label, n in m._node_per_label().items()]
 
 
 _UNREAD_OPS = (
@@ -530,8 +534,8 @@ def test_binary_groupings_match_the_reference_grouped_alike():
                 assert _outcome(lambda: op(lazy[tree])) == _outcome(lambda: op(ref[tree]))
             order = sorted(ref, key=lambda t: t != tree)  # the whole tree first, then its parts
             for t in order:
-                atoms_first = rng.random() < 0.5
-                assert _read(lazy[t], atoms_first) == _read(ref[t], atoms_first)
+                first = _FIRST_READS[int(rng.random() * len(_FIRST_READS))]  # one draw per read, so later trees stay the same
+                assert _read(lazy[t], first) == _read(ref[t], first)
                 seen["chained"] += any(len(nid.atoms) > 2 for nid in ref[t].nodes)
     # every branch is exercised: chained merges and each error kind
     assert min(seen.values()) >= 20, seen
@@ -560,21 +564,7 @@ def _core_lines_folding_a_fork_ring(env, n):
     """Line events inside core.py while binary `compose` calls fold the
     fork-centric ring of n seats and `closure` closes it."""
     seats = _fork_seats(env, n)
-    count = 0
-
-    def tracer(frame, event, arg):
-        nonlocal count
-        if frame.f_code.co_filename != core.__file__:
-            return None
-        count += event == "line"
-        return tracer
-
-    outer = sys.gettrace()
-    sys.settrace(tracer)
-    try:
-        ring = closure(_fold_fork_seats(seats))
-    finally:
-        sys.settrace(outer)
+    count, ring = line_events(core.__file__, lambda: closure(_fold_fork_seats(seats)))
     assert (len(ring.nodes), len(ring.edges), sum(ring.marking.values())) == (5 * n, 8 * n, 2 * n)
     return count
 
@@ -583,6 +573,42 @@ def test_a_binary_fold_of_the_fork_ring_is_linear_work(phil_env):
     short = _core_lines_folding_a_fork_ring(phil_env, 100)
     long = _core_lines_folding_a_fork_ring(phil_env, 200)
     # rebuilding the growing row at every step gives about 4
+    assert long / short <= 2.2, (short, long)
+
+
+def _core_lines_folding_think_snippets(monkeypatch, env, n):
+    """Line events inside core.py while binary `compose` calls fold n
+    `think` snippets one by one and the left interface of the result is
+    read.  Checks which `NodeId`s that mints, and the result against one
+    n-ary `compose` of the same snippets."""
+    leaves = [instantiate(env.snippets["think"], env.alphabet, f"t{i}") for i in range(n)]
+    minted, new = [], NodeId.__new__
+
+    def mint(cls, atoms):
+        nid = new(cls, atoms)
+        minted.append(len(nid))
+        return nid
+
+    def fold():
+        row = functools.reduce(compose, leaves)
+        folded = len(minted)
+        row.left  # the first read builds the row
+        return row, folded
+
+    monkeypatch.setattr(NodeId, "__new__", staticmethod(mint))
+    count, (row, folded) = line_events(core.__file__, fold)
+    monkeypatch.undo()
+    # every take and every return merge into one node, whose id is minted once, at the read
+    assert folded == 0 and minted == [n, n], (folded, minted[-2:])
+    assert (len(row.nodes), len(row.edges), len(row.left), len(row.right)) == (n + 2, 2 * n, 2, 2)
+    assert structural_equal(row, compose(*leaves))
+    return count
+
+
+def test_a_binary_fold_of_think_snippets_is_linear_work(monkeypatch, phil_env):
+    short = _core_lines_folding_think_snippets(monkeypatch, phil_env, 1000)
+    long = _core_lines_folding_think_snippets(monkeypatch, phil_env, 2000)
+    # a class walked to its root again per node gives about 4
     assert long / short <= 2.2, (short, long)
 
 
@@ -695,21 +721,7 @@ def _core_lines_composing_ring_atoms(src, n):
     env = parse(src + "\nring := (" + " . ".join(["phil_with_forks"] * n) + ")^c\n")
     view = validate_net(evaluate(env, "ring"))
     atoms = [transition_atom(view, t).retagged(f"f{i}") for i, t in enumerate(sorted(view.transitions), 1)]
-    count = 0
-
-    def tracer(frame, event, arg):
-        nonlocal count
-        if frame.f_code.co_filename != core.__file__:
-            return None
-        count += event == "line"
-        return tracer
-
-    outer = sys.gettrace()
-    sys.settrace(tracer)
-    try:
-        compose(*atoms)
-    finally:
-        sys.settrace(outer)
+    count, _ = line_events(core.__file__, lambda: compose(*atoms))
     return count
 
 

@@ -21,6 +21,8 @@ from petrimod import export, relaxng as rng
 from petrimod.nets import net_to_module
 from petrimod.relaxng import Schema, SchemaError, ValidationError
 
+from conftest import line_events
+
 RNG_NS = "http://relaxng.org/ns/structure/1.0"
 
 
@@ -716,21 +718,7 @@ def _relaxng_work_validating_ring(src: str, n: int) -> tuple[int, int]:
     env = parse(src + "\nring := (" + " . ".join(["phil_with_forks"] * n) + ")^c\n")
     root = ET.fromstring(to_pnml(evaluate(env, "ring")))
     s = _bundled_schema()
-    count = 0
-
-    def tracer(frame, event, arg):
-        nonlocal count
-        if frame.f_code.co_filename != rng.__file__:
-            return None
-        count += event == "line"
-        return tracer
-
-    outer = sys.gettrace()
-    sys.settrace(tracer)
-    try:
-        s.validate(root)
-    finally:
-        sys.settrace(outer)
+    count, _ = line_events(rng.__file__, lambda: s.validate(root))
     return count, sum(len(table) for table in s._memo.values())
 
 

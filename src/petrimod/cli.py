@@ -29,7 +29,7 @@ from .errors import (
 from .export import dumps, to_dot, to_pnml
 from .iso import IsoOptions, isomorphic
 from .laws import LAWS
-from .nets import NetView, adjacency, factorize, validate_net
+from .nets import NetView, factorize, validate_net
 from .sim import MAX_MARKINGS, MAX_TOKENS_PER_PLACE, Clause, Invariant, check_invariant, reachability
 
 DEFAULT_SEED = 1105
@@ -139,9 +139,9 @@ def _cmd_factorize(args) -> int:
         raise _Failure(1, "UNDECIDED: search budget exceeded") from None
     print(f"atoms: {len(result.atoms)}")
     # one atom per transition, in sorted order: its arcs are the transition's
-    pre, post = adjacency(view)
-    for t in sorted(view.transitions):
-        print(f"  [{module.label_of(t)}] {len(pre[t])} in, {len(post[t])} out")
+    _, transitions, pre, post = view._numbering
+    for t, ps, qs in zip(transitions, pre, post):
+        print(f"  [{module.label_of(t)}] {len(ps)} in, {len(qs)} out")
     verdict = "yes" if result.matches else "NO"
     print(f"recomposition isomorphic to original: {verdict}")
     return 0 if result.matches else 1

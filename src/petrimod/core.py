@@ -501,6 +501,19 @@ def _classes(pairs: Iterable[tuple[NodeId, NodeId]]) -> dict[NodeId, NodeId]:
     return parent
 
 
+def _adjacency(index: Mapping[NodeId, int], edges: Iterable[tuple[NodeId, NodeId]],
+               size: int) -> tuple[list[list[int]], list[list[int]]]:
+    """The out- and in-lists, in edge order, of `size` nodes numbered by
+    `index`: the package's one builder of adjacency from an edge set."""
+    out: list[list[int]] = [[] for _ in range(size)]
+    inn: list[list[int]] = [[] for _ in range(size)]
+    for s, d in edges:
+        i, j = index[s], index[d]
+        out[i].append(j)
+        inn[j].append(i)
+    return out, inn
+
+
 def _glued_labels(parts: Sequence[Module]) -> dict[str, Node]:
     """The label table of `parts` glued in order, each label at its first
     part; raises `MalformedModule` on the first label that a part gives

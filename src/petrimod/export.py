@@ -293,9 +293,8 @@ def to_pnml(a: Module) -> str:
     except (AbstractNodePresent, NotBipartite) as e:
         raise NotANet(str(e)) from e
 
-    places = sorted(view.places)
-    transitions = sorted(view.transitions)
-    ids = {nid: _pnml_id(nid) for nid in places + transitions}  # [A-Za-z0-9_.-]: nothing to escape
+    places, transitions, _, _ = view._numbering
+    ids = {nid: _pnml_id(nid) for nid in (*places, *transitions)}  # [A-Za-z0-9_.-]: nothing to escape
 
     idmap = [f'        <pm:entry pnml="{pid}" node="{_escape_attrib(str(nid))}" />' for nid, pid in ids.items()]
     page = []

@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
-from .core import Kind, Module, NodeId
+from .core import Kind, Module, NodeId, _adjacency
 from .errors import SearchBudgetExceeded
 
 __all__ = ["IsoOptions", "IsoWitness", "structural_equal", "isomorphic", "verify_witness"]
@@ -33,19 +32,28 @@ class IsoWitness:
 def structural_equal(a: Module, b: Module) -> bool:
     """Exact coincidence of nodes, edges, interfaces, labels, kinds and markings.
 
-    Module names are metadata and do not participate.
+    Module names are metadata and do not participate.  Each of b's node ids
+    is compared with its equal in `a` once; b's edges, slots and marking are
+    then mapped to a's id objects and compared there.  Lookups by the same
+    object skip the atom-set comparison, so an arc costs no more for a
+    large merged id; an end that merely equals a node id is looked up by
+    value and costs one such comparison.
     """
-    if set(a.nodes) != set(b.nodes):
+    if len(a.nodes) != len(b.nodes):
         return False
-    for nid, node in a.nodes.items():
-        other = b.nodes[nid]
-        if node.label != other.label or node.kind is not other.kind:
+    mine: dict[NodeId, NodeId] = {}  # each of b's node ids to a's equal one
+    for nid, other in b.nodes.items():
+        node = a.nodes.get(nid)
+        if node is None or node.label != other.label or node.kind is not other.kind:
             return False
+        mine[nid] = node.id
+    to_a = mine.get
     return (
-        a.edges == b.edges
-        and a.left.slots == b.left.slots
-        and a.right.slots == b.right.slots
-        and a.marking == b.marking
+        len(a.edges) == len(b.edges)
+        and a.edges == {(to_a(s), to_a(d)) for s, d in b.edges}
+        and a.left.slots == tuple(map(to_a, b.left.slots))
+        and a.right.slots == tuple(map(to_a, b.right.slots))
+        and a.marking == {to_a(nid): count for nid, count in b.marking.items()}
     )
 
 
@@ -53,8 +61,8 @@ _NO_SLOT = ("", 0)  # the (label, index) of a node outside an interface
 
 
 class _Numbered:
-    """A module as a coloured digraph: nodes numbered in insertion order and
-    a start key per node (`keys`).
+    """A module as a coloured digraph: nodes numbered in insertion order,
+    their out- and in-lists (`out`, `inn`) and a start key per node (`keys`).
 
     In rename mode each abstract label that two or more cores carry becomes a
     label-class node, numbered after the module's nodes in order of its first
@@ -63,36 +71,38 @@ class _Numbered:
     never sees the renaming.  A core alone with its label gets no such node.
     A core's start key holds its class size, saving refinement a round.
 
-    A key is (kind, label or class size, per-label left and right index with
-    0 for absent, in-degree, out-degree), counted from the edge set; a
-    label-class node's key is ("label", class size).  The replay reuses the
-    `(left, right)` slot tables the keys read, kept as `slots`.  No adjacency
-    is built here: the forced path needs none, and the search builds its own
-    for both modules at once.
+    The lists come from `core._adjacency`, in edge-set order, with the
+    label-class edges appended.  A key is (kind, label or class size,
+    per-label left and right index with 0 for absent, in-degree,
+    out-degree), the degrees being list lengths; a label-class node's key
+    is ("label", class size).  The replay reuses the `(left, right)` slot
+    tables the keys read, kept as `slots`.
     """
 
     def __init__(self, m: Module, rename: bool):
-        self.module = m
         self.ids = list(m.nodes)
         classes: dict[str, list[int]] = {}
         if rename:
             for i, node in enumerate(m.nodes.values()):
                 if node.kind is Kind.ABSTRACT:
                     classes.setdefault(node.label, []).append(i)
-        self.cores = [members for members in classes.values() if len(members) > 1]
+        cores = [members for members in classes.values() if len(members) > 1]
         self.slots = left, right = m.left.indexed(m.label_of), m.right.indexed(m.label_of)
-        outdeg = Counter(s for s, _ in m.edges)
-        indeg = Counter(d for _, d in m.edges)
+        n = len(self.ids)
+        self.out, self.inn = out, inn = _adjacency({nid: i for i, nid in enumerate(self.ids)}, m.edges, n + len(cores))
+        for c, members in enumerate(cores, n):
+            for i in members:
+                out[i].append(c)
+            inn[c] = members
         self.keys: list[tuple] = []
-        for nid, node in m.nodes.items():
-            label, out = node.label, outdeg[nid]
+        for i, (nid, node) in enumerate(m.nodes.items()):
+            label = node.label
             if rename and node.kind is Kind.ABSTRACT:
                 label = len(classes[label])
-                out += label > 1  # the edge to its label-class node
             # the index alone: in rename mode a slot's label may be a core's
             index_l, index_r = left.get(nid, _NO_SLOT)[1], right.get(nid, _NO_SLOT)[1]
-            self.keys.append((node.kind, label, index_l, index_r, indeg[nid], out))
-        self.keys += [("label", len(members)) for members in self.cores]
+            self.keys.append((node.kind, label, index_l, index_r, len(inn[i]), len(out[i])))
+        self.keys += [("label", len(members)) for members in cores]
 
 
 def _refine(keys: list, out: list[list[int]], inn: list[list[int]]) -> list[int]:
@@ -125,12 +135,13 @@ class _Search:
 
     The pair lives in one node space: `a`'s nodes are `0..na-1` and `b`'s
     follow, label-class nodes included.  Each node has a sorted out-list and
-    in-list (`out`, `inn`), edge membership is one set of codes
-    `source * size + target` (`edges`), and `image` maps both ways: a node
-    of `a` to its image in `b` and back, -1 while unmapped.  Sorting by node
-    number, never by the order of the edge frozenset, keeps everything
-    derived (colours, search order, the witness) independent of string
-    hashing.
+    in-list (`out`, `inn`): `a`'s lists from its `_Numbered`, sorted in
+    place, then copies of `b`'s shifted by `na`.  Edge membership is one set
+    of codes `source * size + target` (`edges`), and `image` maps both ways:
+    a node of `a` to its image in `b` and back, -1 while unmapped.  The
+    lists arrive in the order of the edge frozenset; sorting them by node
+    number keeps everything derived (colours, search order, the witness)
+    independent of string hashing.
 
     Nodes of `a` are visited breadth-first, each component starting from a
     node of the smallest colour cell.  A root may map to any unmapped node of
@@ -144,20 +155,11 @@ class _Search:
     def __init__(self, ga: _Numbered, gb: _Numbered, budget: int):
         self.budget = budget
         self.steps = 0
-        self.na = len(ga.keys)
+        self.na = na = len(ga.keys)
         self.keys = ga.keys + gb.keys
         self.size = size = len(self.keys)
-        self.out: list[list[int]] = [[] for _ in range(size)]
-        self.inn: list[list[int]] = [[] for _ in range(size)]
-        for g, base in ((ga, 0), (gb, self.na)):
-            pos = {nid: i for i, nid in enumerate(g.ids, base)}
-            for s, d in g.module.edges:
-                self.out[pos[s]].append(pos[d])
-                self.inn[pos[d]].append(pos[s])
-            for c, members in enumerate(g.cores, base + len(g.ids)):
-                for i in members:
-                    self.out[base + i].append(c)
-                self.inn[c] = [base + i for i in members]
+        self.out = ga.out + [[v + na for v in adj] for adj in gb.out]
+        self.inn = ga.inn + [[v + na for v in adj] for adj in gb.inn]
         for adj in self.out + self.inn:
             adj.sort()
         self.edges = {s * size + d for s, adj in enumerate(self.out) for d in adj}
@@ -165,11 +167,11 @@ class _Search:
 
     def _order(self) -> tuple[list[int], list[tuple[int, bool] | None]]:
         """BFS order of `a` and, per position, (BFS parent, reached by an out-edge)."""
-        colours, cell = self.colours, self.cell_size
+        colours, cells = self.colours, self.cells_b  # a's cells are as large as b's
         seen = [False] * self.na
         order: list[int] = []
         link: list[tuple[int, bool] | None] = []
-        for root in sorted(range(self.na), key=lambda i: (cell[colours[i]], i)):
+        for root in sorted(range(self.na), key=lambda i: (len(cells[colours[i]]), i)):
             if seen[root]:
                 continue
             seen[root] = True
@@ -217,8 +219,7 @@ class _Search:
         differ in colours."""
         na = self.na
         self.colours = colours = _refine(self.keys, self.out, self.inn)
-        self.cell_size = Counter(colours[:na])
-        if self.cell_size != Counter(colours[na:]):
+        if sorted(colours[:na]) != sorted(colours[na:]):
             return None
         self.cells_b: dict[int, list[int]] = {}
         for v in range(na, self.size):

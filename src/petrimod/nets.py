@@ -4,19 +4,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from types import MappingProxyType
+from itertools import chain
 from typing import Collection, Mapping
 
-from .core import Kind, Module, Node, NodeId, compose
+from .core import Kind, Module, Node, NodeId, _adjacency, compose
 from .errors import AbstractNodePresent, IsolatedElement, NotBipartite, UnknownTransition
 from .iso import IsoOptions, IsoWitness, isomorphic
 
-__all__ = ["NetView", "Factorization", "adjacency", "validate_net", "net_to_module", "transition_atom", "factorize"]
+__all__ = ["NetView", "Factorization", "validate_net", "net_to_module", "transition_atom", "factorize"]
 
 
 @dataclass(frozen=True)
 class NetView:
-    """A module's content read as a net: places, transitions, flow, tokens."""
+    """A module's content read as a net: places, transitions, flow, tokens.
+
+    Every flow edge joins a place and a transition.  The token game, PNML
+    export and `factorize` read one numbering, built on first use."""
 
     places: frozenset[NodeId]
     transitions: frozenset[NodeId]
@@ -24,40 +27,33 @@ class NetView:
     marking: Mapping[NodeId, int] = field(default_factory=dict)
 
     @cached_property
-    def _adjacency(self) -> tuple[Mapping[NodeId, tuple[NodeId, ...]], Mapping[NodeId, tuple[NodeId, ...]]]:
-        # one pass over the flow, on first use; tuples keep a cached view small
-        pre: dict[NodeId, list[NodeId]] = {t: [] for t in self.transitions}
-        post: dict[NodeId, list[NodeId]] = {t: [] for t in self.transitions}
-        for s, d in self.flow:
-            if d in pre:
-                pre[d].append(s)
-            if s in post:
-                post[s].append(d)
-        return (MappingProxyType({t: tuple(ps) for t, ps in pre.items()}),
-                MappingProxyType({t: tuple(ps) for t, ps in post.items()}))
+    def _numbering(self) -> tuple[tuple[NodeId, ...], dict[NodeId, int], tuple[tuple[int, ...], ...],
+                                  tuple[tuple[int, ...], ...]]:
+        """The places sorted; the transitions sorted, each to its position;
+        per transition, the positions of its pre- and post-places among the
+        places.  No list per node is kept, so a cached view stays small."""
+        places, transitions = tuple(sorted(self.places)), sorted(self.transitions)
+        index = {nid: i for i, nid in enumerate(chain(places, transitions))}
+        out, inn = _adjacency(index, self.flow, len(index))
+        return (places, {t: k for k, t in enumerate(transitions)},
+                tuple(map(tuple, inn[len(places):])), tuple(map(tuple, out[len(places):])))
 
     def pre(self, t: NodeId) -> frozenset[NodeId]:
         """The places feeding transition t."""
-        return frozenset(self._transition(t, 0))
+        places, _, pre, _ = self._numbering
+        return frozenset([places[p] for p in pre[self._number(t)]])
 
     def post(self, t: NodeId) -> frozenset[NodeId]:
         """The places transition t feeds."""
-        return frozenset(self._transition(t, 1))
+        places, _, _, post = self._numbering
+        return frozenset([places[p] for p in post[self._number(t)]])
 
-    def _transition(self, t: NodeId, side: int) -> tuple[NodeId, ...]:
-        try:
-            return self._adjacency[side][t]
-        except KeyError:
-            raise UnknownTransition(f"{t} is not a transition of this net") from None
-
-
-def adjacency(n: NetView) -> tuple[Mapping[NodeId, tuple[NodeId, ...]], Mapping[NodeId, tuple[NodeId, ...]]]:
-    """Pre- and post-places of every transition, each without repeats.
-
-    Built once per net view and shared by `NetView.pre`/`post`, the token
-    game and `factorize`.
-    """
-    return n._adjacency
+    def _number(self, t: NodeId) -> int:
+        """Transition t's position among the sorted transitions."""
+        k = self._numbering[1].get(t)
+        if k is None:
+            raise UnknownTransition(f"{t} is not a transition of this net")
+        return k
 
 
 def validate_net(a: Module) -> NetView:
@@ -78,9 +74,9 @@ def validate_net(a: Module) -> NetView:
 
 def net_to_module(n: NetView) -> Module:
     """The monolithic module of a net: every place on both interfaces, identity labels."""
-    nodes = [Node(p, str(p), Kind.PLACE) for p in n.places]
-    nodes += [Node(t, str(t), Kind.TRANSITION) for t in n.transitions]
-    places = tuple(sorted(n.places))
+    places, transitions, _, _ = n._numbering
+    nodes = [Node(p, str(p), Kind.PLACE) for p in places]
+    nodes += [Node(t, str(t), Kind.TRANSITION) for t in transitions]
     return Module(nodes, n.flow, places, places, dict(n.marking))
 
 
@@ -137,13 +133,15 @@ def factorize(n: NetView) -> Factorization:
     repeats, so `isomorphic` replays the one mapping the labels allow and
     runs no search.
     """
-    pre, post = adjacency(n)
-    isolated = sorted(n.places - {p for e in n.flow for p in e})
-    isolated += sorted(t for t in n.transitions if not pre[t] and not post[t])
+    places, transitions, pre, post = n._numbering
+    linked = set(chain(*pre, *post))  # the places on some arc
+    isolated = [p for i, p in enumerate(places) if i not in linked]
+    isolated += [t for t, ps, qs in zip(transitions, pre, post) if not ps and not qs]
     if isolated:
         raise IsolatedElement(isolated)
 
-    atoms = tuple(_atom(t, pre[t], post[t], f"f{i}") for i, t in enumerate(sorted(n.transitions), start=1))
+    atoms = tuple(_atom(t, [places[p] for p in ps], [places[p] for p in qs], f"f{k}")
+                  for k, (t, ps, qs) in enumerate(zip(transitions, pre, post), start=1))
     recomposed = compose(*atoms)
     reference = net_to_module(n)
     witness = isomorphic(recomposed, reference, IsoOptions())

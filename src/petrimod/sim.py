@@ -37,8 +37,8 @@ from itertools import compress, islice
 from typing import Callable, Collection, Iterable, Iterator, Mapping, NamedTuple
 
 from .core import NodeId
-from .errors import NotEnabled, UnknownTransition
-from .nets import NetView, adjacency
+from .errors import NotEnabled
+from .nets import NetView
 
 __all__ = ["Marking", "ReachGraph", "Counterexample", "Clause", "Invariant", "enabled", "fire", "reachability",
            "check_invariant"]
@@ -61,21 +61,20 @@ def _as_vector(places: tuple[NodeId, ...], m: Mapping[NodeId, int]) -> tuple[int
 
 def enabled(n: NetView, m: Mapping[NodeId, int]) -> list[NodeId]:
     """Transitions whose every pre-place carries a token, sorted."""
-    pre, _ = adjacency(n)
-    return [t for t in sorted(n.transitions) if all(m.get(p, 0) >= 1 for p in pre[t])]
+    places, transitions, pre, _ = n._numbering
+    return [t for t, ps in zip(transitions, pre) if all(m.get(places[p], 0) >= 1 for p in ps)]
 
 
 def fire(n: NetView, m: Mapping[NodeId, int], t: NodeId) -> Marking:
-    if t not in n.transitions:
-        raise UnknownTransition(str(t))
-    pre, post = adjacency(n)
-    if any(m.get(p, 0) < 1 for p in pre[t]):
+    places, _, pre, post = n._numbering
+    i = n._number(t)
+    if any(m.get(places[p], 0) < 1 for p in pre[i]):
         raise NotEnabled(f"{t} lacks a token on some pre-place")
     out = dict(m)
-    for p in pre[t]:
-        out[p] -= 1
-    for p in post[t]:
-        out[p] = out.get(p, 0) + 1
+    for p in pre[i]:
+        out[places[p]] -= 1
+    for p in post[i]:
+        out[places[p]] = out.get(places[p], 0) + 1
     return {p: k for p, k in out.items() if k}
 
 
@@ -199,9 +198,7 @@ def reachability(
     max_markings: int = MAX_MARKINGS,
     max_tokens_per_place: int = MAX_TOKENS_PER_PLACE,
 ) -> ReachGraph:
-    places = tuple(sorted(n.places))
-    transitions = tuple(sorted(n.transitions))
-    pre_places, post_places = adjacency(n)
+    places, transitions, pre_places, post_places = n._numbering
     start_vec = _as_vector(places, n.marking if initial is None else initial)
     max_tokens_per_place = operator.index(max_tokens_per_place)  # sizes the fields
 
@@ -211,8 +208,8 @@ def reachability(
     bits = 8 * width
     guard = 1 << (bits - 1)
 
-    unit = {p: 1 << (bits * i) for i, p in enumerate(places)}  # the lowest bit of each field
-    every = sum(unit.values())
+    unit = [1 << (bits * i) for i in range(len(places))]  # the lowest bit of each field
+    every = sum(unit)
     # a bit above every field: `over` sets it alone when even zero tokens exceed the cap
     top = 1 << (bits * len(places))
     guards = every * guard | top
@@ -220,20 +217,20 @@ def reachability(
 
     # enabledness of u reads only u's pre-places, so firing t can change it
     # only when u consumes a place t changes: one in pre(t) △ post(t)
-    consumers = dict.fromkeys(places, 0)  # bits of the transitions each place feeds
+    consumers = [0] * len(places)  # bits of the transitions each place feeds
     tests = []  # (bit, guard - 1 per pre-place, guard bits of the pre-places)
-    for tid, t in enumerate(transitions):
+    for tid, ps in enumerate(pre_places):
         pre, bit = 0, 1 << tid
-        for p in pre_places[t]:
+        for p in ps:
             pre += unit[p]
             consumers[p] |= bit
         tests.append((bit, pre * (guard - 1), pre * guard))
     moves = []  # (post - pre, bits of the transitions left as they were, tests to redo)
-    for t, (_, _, g) in zip(transitions, tests):
+    for ps, qs, (_, _, g) in zip(pre_places, post_places, tests):
         redo = 0
-        for p in set(pre_places[t]).symmetric_difference(post_places[t]):
+        for p in set(ps).symmetric_difference(qs):
             redo |= consumers[p]
-        delta = sum([unit[p] for p in post_places[t]]) - (g >> (bits - 1))
+        delta = sum([unit[p] for p in qs]) - (g >> (bits - 1))
         keep, again = ~redo, []
         while redo:
             low = redo & -redo
@@ -282,7 +279,7 @@ def reachability(
 
     rules = tuple((t, h, g, delta) for t, (_, h, g), (delta, _, _) in zip(transitions, tests, moves))
     arcs = _Arcs(first, states, rules, (over, guards))
-    return ReachGraph(places, arcs, truncated, transitions, width, states, parent, via)
+    return ReachGraph(places, arcs, truncated, tuple(transitions), width, states, parent, via)
 
 
 class Clause(NamedTuple):

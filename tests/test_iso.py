@@ -1,9 +1,11 @@
+import functools
 import gc
 import itertools
 import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -11,6 +13,7 @@ import pytest
 import petrimod
 from petrimod import iso
 from petrimod import (
+    AtomicNodeId,
     IsoOptions,
     IsoWitness,
     Kind,
@@ -56,6 +59,85 @@ def test_structural_equal_ignores_name_only(phil_env):
     decl = phil_env.snippets["left_use"]
     a = instantiate(decl, phil_env.alphabet, "t1")
     assert structural_equal(a, a.with_name("other"))
+
+
+def test_structural_equal_compares_each_atom_about_once(phil_env, monkeypatch):
+    # a fold of binary compose calls and one n-ary compose give equal ids in
+    # distinct objects; the two merged ids, on both interfaces and on every
+    # arc, hold one atom per snippet
+    leaves = [instantiate(phil_env.snippets["think"], phil_env.alphabet, f"t{i}") for i in range(2000)]
+    row, flat = functools.reduce(compose, leaves), compose(*leaves)
+    assert len(row.nodes) == len(flat.nodes)  # both built before counting
+    compared = 0
+    eq = NodeId.__eq__
+
+    def counting(self, other):
+        nonlocal compared
+        if isinstance(other, NodeId):
+            compared += len(self)
+        return eq(self, other)
+
+    monkeypatch.setattr(NodeId, "__eq__", counting)
+    assert structural_equal(row, flat)
+    assert compared <= 2 * len(row.atom_set)
+
+
+def _equal_copies(changed=None):
+    """A hand-built module whose edges, slots and marking name its nodes
+    through copies of their ids: equal sets, never the same objects.
+    `changed` edits the edge list, the two slot lists or the marking first."""
+    ids = [NodeId([AtomicNodeId("h", f"x{i}"), AtomicNodeId("k", f"y{i}")]) for i in range(5)]
+    kinds = [("p", Kind.PLACE), ("p", Kind.PLACE), ("t", Kind.TRANSITION), ("q", Kind.PLACE), ("alpha", Kind.ABSTRACT)]
+    parts = {
+        "edges": [(0, 2), (1, 2), (2, 3), (4, 0)],
+        "left": [0, 1],
+        "right": [3, 1],
+        "marking": {0: 1, 1: 2, 3: 1},
+    }
+    if changed:
+        changed(parts)
+    copy = lambda i: NodeId(list(ids[i]))
+    nodes = [Node(NodeId(list(nid)), label, kind) for nid, (label, kind) in zip(ids, kinds)]
+    return Module(nodes, [(copy(s), copy(d)) for s, d in parts["edges"]], map(copy, parts["left"]),
+                  map(copy, parts["right"]), {copy(i): k for i, k in parts["marking"].items()})
+
+
+def _move_arc(parts):
+    parts["edges"][0] = (0, 3)
+
+
+def _swap_slots(parts):
+    parts["left"].reverse()
+
+
+def _change_token(parts):
+    parts["marking"][1] = 3
+
+
+@pytest.mark.parametrize("changed, equal", [(None, True), (_move_arc, False), (_swap_slots, False),
+                                            (_change_token, False)])
+def test_structural_equal_through_equal_copies_of_ids(changed, equal):
+    a, b = _equal_copies(), _equal_copies(changed)
+    assert structural_equal(a, b) is equal and structural_equal(b, a) is equal
+
+
+@pytest.mark.parametrize("rename", [False, True])
+def test_start_key_degrees_count_the_edge_set(rename):
+    # degrees counted here from the edges, plus one out-edge for each core
+    # that shares its label with another core in rename mode
+    rng = random.Random(22)
+    for trial in range(300):
+        m = random_module(rng, f"k{trial}")
+        outdeg = Counter(s for s, _ in m.edges)
+        indeg = Counter(d for _, d in m.edges)
+        shared = Counter(node.label for node in m.nodes.values() if node.kind is Kind.ABSTRACT)
+        g = iso._Numbered(m, rename)
+        for nid, key in zip(g.ids, g.keys):
+            node = m.nodes[nid]
+            to_class = rename and node.kind is Kind.ABSTRACT and shared[node.label] > 1
+            assert key[4:] == (indeg[nid], outdeg[nid] + to_class)
+        classes = [("label", k) for k in shared.values() if k > 1] if rename else []
+        assert g.keys[len(g.ids):] == classes
 
 
 def test_label_mismatch_not_isomorphic():

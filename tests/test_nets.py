@@ -16,7 +16,7 @@ from petrimod import (
 )
 from petrimod.errors import AbstractNodePresent, IsolatedElement, NotBipartite, UnknownTransition
 from petrimod.generate import random_net
-from petrimod.nets import NetView, adjacency
+from petrimod.nets import NetView
 
 from conftest import module, node
 
@@ -34,15 +34,18 @@ def small_net():
 
 def test_adjacency_is_built_once_and_matches_the_flow():
     net = random_net(random.Random(5), "a")
-    pre, post = adjacency(net)
-    assert adjacency(net)[0] is pre and adjacency(net)[1] is post
-    assert set(pre) == set(post) == net.transitions
-    for t in net.transitions:
-        assert net.pre(t) == set(pre[t]) == {s for s, d in net.flow if d == t}
-        assert net.post(t) == set(post[t]) == {d for s, d in net.flow if s == t}
-        assert len(set(pre[t])) == len(pre[t]) and len(set(post[t])) == len(post[t])
+    places, index, pre, post = net._numbering
+    assert net._numbering[2] is pre and net._numbering[3] is post
+    # one numbering: the places sorted, then the transitions sorted
+    assert places == tuple(sorted(net.places))
+    assert list(index) == sorted(net.transitions) and list(index.values()) == list(range(len(index)))
+    assert len(pre) == len(post) == len(net.transitions)
+    for t, k in index.items():
+        assert net.pre(t) == {places[p] for p in pre[k]} == {s for s, d in net.flow if d == t}
+        assert net.post(t) == {places[p] for p in post[k]} == {d for s, d in net.flow if s == t}
+        assert len(set(pre[k])) == len(pre[k]) and len(set(post[k])) == len(post[k])
     with pytest.raises(TypeError):
-        pre[min(net.transitions)] = ()
+        pre[0] = ()
     with pytest.raises(UnknownTransition):
         net.pre(min(net.places))
 

@@ -15,7 +15,7 @@ import re
 import sys
 from pathlib import Path
 
-from .core import Module, verify_well_formed
+from .core import Module, _ID_KEY, verify_well_formed
 from .dsl import Environment, _Evaluator, evaluate, parse
 from .errors import (
     AbstractNodePresent,
@@ -192,7 +192,7 @@ def _cmd_reach(args) -> int:
         print(f"invariant holds over {len(graph)} markings{note}")
         return 0
     print("invariant violated at marking:")
-    for p in sorted(hit.marking):
+    for p in sorted(hit.marking, key=_ID_KEY):
         print(f"  {module.label_of(p)} ({p}) = {hit.marking[p]}")
     labels = " ".join(module.label_of(t) for t in hit.path)
     print(f"path from initial marking: {labels or '(empty)'}")

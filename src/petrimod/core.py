@@ -23,7 +23,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
@@ -127,6 +127,11 @@ class NodeId(frozenset):
     NodeId, but a mutable `set` on the left runs `set.__eq__` first, which
     accepts any frozenset subclass: `{atom} == NodeId.single(...)` is True.
     Compare ids with ids.  `<` and `>` order ids by `key`; `<=` and `>=` raise.
+
+    The package itself never orders ids through `<`: every sort it makes
+    passes `_ID_KEY` as `key=`, so two ids compare as their cached `key`
+    tuples, in C, or it sorts int positions in an order already made that
+    way.  `<` and `>` stay for callers.
     """
 
     # `key`, the sorted (instance, name) pairs, is filled on first use by __getattr__
@@ -183,6 +188,15 @@ class NodeId(frozenset):
         return f"NodeId({self})"
 
 
+# the sort key of node ids: `sorted(ids, key=_ID_KEY)` is `sorted(ids)` with no Python-level compare
+_ID_KEY = attrgetter("key")
+
+
+def _mint_id(atoms: Iterable[AtomicNodeId], _new=frozenset.__new__) -> NodeId:
+    """A NodeId of atoms known to be valid and non-empty, without `NodeId.__new__`."""
+    return _new(NodeId, atoms)
+
+
 @dataclass(frozen=True)
 class Node:
     """A graph node: identity, label, kind."""
@@ -194,6 +208,15 @@ class Node:
     def __post_init__(self):
         if not isinstance(self.label, str) or not self.label:
             raise MalformedModule(f"node {self.id}: label must be a non-empty string, got {self.label!r}")
+
+
+def _mint_node(nid: NodeId, label: str, kind: Kind, _new=object.__new__, _set=object.__setattr__) -> Node:
+    """A Node whose label is known to be a non-empty string, without `__post_init__`."""
+    node = _new(Node)
+    _set(node, "id", nid)
+    _set(node, "label", label)
+    _set(node, "kind", kind)
+    return node
 
 
 @dataclass(frozen=True)
@@ -324,8 +347,8 @@ class Module:
         label to a node that carries it, in order of the label's first node,
         or is None to derive it on demand; only a node's label and kind are
         read from it.  Only `closure`, the first read of a `compose` result
-        (both through `_glue`), `with_name` and `_reminted` build modules
-        this way.
+        (both through `_glue`), `with_name`, `_reminted` and the atoms of
+        `nets.factorize` build modules this way.
         """
         self = object.__new__(cls)
         _fill(self, nodes, edges, left, right, marking, name, atoms, labels)

@@ -18,8 +18,10 @@ import xml.etree.ElementTree as ET
 from collections import Counter
 from importlib import resources
 from json.encoder import encode_basestring_ascii as _json_str
+from operator import attrgetter
+from typing import Iterable
 
-from .core import AtomicNodeId, Kind, Module, Node, NodeId
+from .core import AtomicNodeId, Kind, Module, Node, NodeId, _ID_KEY
 from .errors import AbstractNodePresent, NotANet, NotBipartite, ParseError, PetrimodError
 from .nets import validate_net
 from .relaxng import Schema, ValidationError
@@ -47,9 +49,12 @@ NET_ID = "net1"  # the one net of every document
 # -- canonical JSON ------------------------------------------------------------
 
 def to_dict(a: Module) -> dict:
+    nodes = sorted(a.nodes.values(), key=attrgetter("id.key"))
+    text = {n.id: str(n.id) for n in nodes}  # each id's text once
+
     def side(interface):
         return [
-            {"id": str(nid), "label": label, "index": i}
+            {"id": text[nid], "label": label, "index": i}
             for nid, (label, i) in interface.indexed(a.label_of).items()
         ]
 
@@ -57,10 +62,10 @@ def to_dict(a: Module) -> dict:
         "format": DUMP_FORMAT,
         "name": a.name,
         "nodes": [
-            {"id": str(n.id), "label": n.label, "kind": n.kind.value, "tokens": a.tokens(n.id)}
-            for n in sorted(a.nodes.values(), key=lambda n: n.id)
+            {"id": text[n.id], "label": n.label, "kind": n.kind.value, "tokens": a.tokens(n.id)}
+            for n in nodes
         ],
-        "edges": sorted([str(s), str(d)] for s, d in a.edges),
+        "edges": sorted([[text[s], text[d]] for s, d in a.edges]),
         "left": side(a.left),
         "right": side(a.right),
     }
@@ -159,6 +164,17 @@ def loads(text: str) -> Module:
     return module
 
 
+def _ranked(nodes: Iterable[NodeId], edges: Iterable[tuple[NodeId, NodeId]]) -> tuple[dict[NodeId, int], list[int]]:
+    """Each node to its rank in sorted id order, in that order, and the edges
+    as the ints `rank(src) * n + rank(dst)`, sorted: the order of the sorted
+    (src, dst) pairs.  Only the node sort compares ids, by their cached keys."""
+    rank = {nid: k for k, nid in enumerate(sorted(nodes, key=_ID_KEY))}
+    n = len(rank)
+    codes = [rank[s] * n + rank[d] for s, d in edges]
+    codes.sort()
+    return rank, codes
+
+
 # -- Graphviz ------------------------------------------------------------------
 
 _SHAPE = {Kind.PLACE: "circle", Kind.TRANSITION: "box", Kind.ABSTRACT: "box"}
@@ -184,9 +200,13 @@ def _dot_label(a: Module, nid: NodeId) -> str:
 def to_dot(a: Module, *, title: str | None = None) -> str:
     """Render left interface as the min rank, right as the max rank, interior
     in a dashed cluster.  A node sitting in both interfaces is drawn twice,
-    tied together with a double line."""
-    order = sorted(a.nodes)
-    dot_id = {nid: f"n{k}" for k, nid in enumerate(order)}
+    tied together with a double line.
+
+    Nodes are numbered `n0`, `n1`, ... in sorted id order, and edges and
+    doubled slots are written in the order of those numbers: an edge sorts
+    as the one int `rank(src) * n + rank(dst)` (`_ranked`), so only the
+    node sort compares ids, through their cached `key`s."""
+    rank, edges = _ranked(a.nodes, a.edges)
     left = set(a.left)
     right = set(a.right)
     doubled = left & right
@@ -202,29 +222,29 @@ def to_dot(a: Module, *, title: str | None = None) -> str:
 
     lines.append("  { rank=min;")
     for nid, (label, i) in a.left.indexed(a.label_of).items():
-        lines.append("    " + decl(nid, dot_id[nid], f"{_dot_text(label)}:{i}"))
+        lines.append("    " + decl(nid, f"n{rank[nid]}", f"{_dot_text(label)}:{i}"))
     lines.append("  }")
 
     lines.append("  { rank=max;")
     for nid, (label, i) in a.right.indexed(a.label_of).items():
-        vid = dot_id[nid] + ("r" if nid in doubled else "")
+        vid = f"n{rank[nid]}" + ("r" if nid in doubled else "")
         lines.append("    " + decl(nid, vid, f"{_dot_text(label)}:{i}"))
     lines.append("  }")
 
-    interior = [nid for nid in order if nid not in left and nid not in right]
+    interior = [nid for nid in rank if nid not in left and nid not in right]
     if interior:
         lines.append("  subgraph cluster_interior {")
         lines.append("    style=dashed; label=\"\";")
         for nid in interior:
-            lines.append("    " + decl(nid, dot_id[nid], _dot_label(a, nid)))
+            lines.append("    " + decl(nid, f"n{rank[nid]}", _dot_label(a, nid)))
         lines.append("  }")
 
-    for s, d in sorted(a.edges):
-        src = dot_id[s]
-        dst = dot_id[d] + ("r" if d in doubled else "")
-        lines.append(f"  {src} -> {dst};")
-    for nid in sorted(doubled):
-        lines.append(f'  {dot_id[nid]} -> {dot_id[nid]}r [dir=none color="black:invis:black"];')
+    twice = {rank[nid] for nid in doubled}
+    for code in edges:
+        s, d = divmod(code, len(rank))
+        lines.append(f"  n{s} -> n{d}r;" if d in twice else f"  n{s} -> n{d};")
+    for k in sorted(twice):
+        lines.append(f'  n{k} -> n{k}r [dir=none color="black:invis:black"];')
 
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -235,8 +255,8 @@ def to_dot(a: Module, *, title: str | None = None) -> str:
 _ID_SAFE = re.compile(r"[^A-Za-z0-9_.\-]")
 
 
-def _pnml_id(nid: NodeId) -> str:
-    text = str(nid)
+def _pnml_id(text: str) -> str:
+    """The PNML id of the node id whose text is `text`."""
     digest = hashlib.sha1(text.encode()).hexdigest()[:8]
     return f"n-{_ID_SAFE.sub('-', text)[:40]}-{digest}"
 
@@ -287,16 +307,22 @@ def to_pnml(a: Module) -> str:
     dropped; the toolspecific block maps sanitized ids back to node ids.
 
     The text is what ElementTree's `indent` and `tostring` make of the
-    document tree, written directly."""
+    document tree, written directly.  Places and transitions come in the
+    net's numbering; each id's text is made once, for both its PNML id and
+    its idmap entry.  Arcs come in sorted (source, target) order, sorted as
+    one int per arc (`_ranked`)."""
     try:
         view = validate_net(a)
     except (AbstractNodePresent, NotBipartite) as e:
         raise NotANet(str(e)) from e
 
     places, transitions, _, _ = view._numbering
-    ids = {nid: _pnml_id(nid) for nid in (*places, *transitions)}  # [A-Za-z0-9_.-]: nothing to escape
-
-    idmap = [f'        <pm:entry pnml="{pid}" node="{_escape_attrib(str(nid))}" />' for nid, pid in ids.items()]
+    ids: dict[NodeId, str] = {}
+    idmap = []
+    for nid in (*places, *transitions):
+        text = str(nid)  # once per id
+        ids[nid] = pid = _pnml_id(text)  # [A-Za-z0-9_.-]: nothing to escape
+        idmap.append(f'        <pm:entry pnml="{pid}" node="{_escape_attrib(text)}" />')
     page = []
     for p in places:
         page += [f'      <place id="{ids[p]}">', _text_child("name", a.label_of(p), "        ")]
@@ -306,8 +332,10 @@ def to_pnml(a: Module) -> str:
     for t in transitions:
         page += [f'      <transition id="{ids[t]}">', _text_child("name", a.label_of(t), "        "),
                  "      </transition>"]
-    page += [f'      <arc id="a{k}" source="{ids[s]}" target="{ids[d]}" />'
-             for k, (s, d) in enumerate(sorted(view.flow), 1)]
+    rank, arcs = _ranked(ids, view.flow)
+    pid, n = [ids[nid] for nid in rank], len(rank)
+    page += [f'      <arc id="a{k}" source="{pid[code // n]}" target="{pid[code % n]}" />'
+             for k, code in enumerate(arcs, 1)]
 
     out = ['<?xml version="1.0" encoding="UTF-8"?>',
            f'<pnml xmlns="{PNML_NS}">',

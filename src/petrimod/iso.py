@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Kind, Module, NodeId, _adjacency
+from .core import Kind, Module, NodeId, _ID_KEY, _adjacency
 from .errors import SearchBudgetExceeded
 
 __all__ = ["IsoOptions", "IsoWitness", "structural_equal", "isomorphic", "verify_witness"]
@@ -317,7 +317,11 @@ def isomorphic(
     renaming = _replay(a, b, mapping, rename, ga.slots, gb.slots)
     if renaming is None and not forced:
         raise AssertionError("the search proposed a mapping that fails replay")
-    return None if renaming is None else IsoWitness(tuple(sorted(mapping.items())), tuple(renaming))
+    if renaming is None:
+        return None
+    # a's ids are distinct, so sorting by them alone is `sorted(mapping.items())`
+    order = sorted(mapping, key=_ID_KEY)
+    return IsoWitness(tuple(zip(order, map(mapping.__getitem__, order))), tuple(renaming))
 
 
 def _replay(a: Module, b: Module, mapping: dict[NodeId, NodeId], rename: bool,

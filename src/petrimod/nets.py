@@ -5,13 +5,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
-from typing import Collection, Mapping
+from typing import Collection, Iterator, Mapping
 
-from .core import Kind, Module, Node, NodeId, _adjacency, compose
-from .errors import AbstractNodePresent, IsolatedElement, NotBipartite, UnknownTransition
+from .core import (Interface, Kind, Module, Node, NodeId, _ID_KEY, _adjacency, _mint_atom, _mint_id, _mint_node,
+                   compose)
+from .errors import AbstractNodePresent, IsolatedElement, MalformedModule, NotBipartite, UnknownTransition
 from .iso import IsoOptions, IsoWitness, isomorphic
 
 __all__ = ["NetView", "Factorization", "validate_net", "net_to_module", "transition_atom", "factorize"]
+
+
+def _edge_key(edge: tuple[NodeId, NodeId]) -> tuple:
+    """The sort key that orders arcs as `sorted` orders (src, dst) pairs of ids."""
+    return edge[0].key, edge[1].key
 
 
 @dataclass(frozen=True)
@@ -19,7 +25,10 @@ class NetView:
     """A module's content read as a net: places, transitions, flow, tokens.
 
     Every flow edge joins a place and a transition.  The token game, PNML
-    export and `factorize` read one numbering, built on first use."""
+    export and `factorize` read one numbering, built on first use; building
+    it refuses a hand-built view that breaks this: a node that is both a
+    place and a transition or an arc to a node of neither (`MalformedModule`),
+    an arc between two places or two transitions (`NotBipartite`)."""
 
     places: frozenset[NodeId]
     transitions: frozenset[NodeId]
@@ -32,11 +41,22 @@ class NetView:
         """The places sorted; the transitions sorted, each to its position;
         per transition, the positions of its pre- and post-places among the
         places.  No list per node is kept, so a cached view stays small."""
-        places, transitions = tuple(sorted(self.places)), sorted(self.transitions)
+        places, transitions = tuple(sorted(self.places, key=_ID_KEY)), sorted(self.transitions, key=_ID_KEY)
         index = {nid: i for i, nid in enumerate(chain(places, transitions))}
-        out, inn = _adjacency(index, self.flow, len(index))
-        return (places, {t: k for k, t in enumerate(transitions)},
-                tuple(map(tuple, inn[len(places):])), tuple(map(tuple, out[len(places):])))
+        if len(index) != len(places) + len(transitions):
+            both = min(self.places & self.transitions, key=_ID_KEY)
+            raise MalformedModule(f"{both} is both a place and a transition")
+        try:
+            out, inn = _adjacency(index, self.flow, len(index))
+        except KeyError:
+            s, d = min((e for e in self.flow if e[0] not in index or e[1] not in index), key=_edge_key)
+            raise MalformedModule(f"arc ({s}, {d}) references a node that is neither place nor transition") from None
+        n = len(places)
+        # an arc from a place ends at a transition (position n or more), one from a transition at a place
+        if min(chain.from_iterable(out[:n]), default=n) < n or max(chain.from_iterable(out[n:]), default=-1) >= n:
+            raise NotBipartite(sorted(((s, d) for s, d in self.flow if (index[s] < n) is (index[d] < n)),
+                                      key=_edge_key))
+        return places, {t: k for k, t in enumerate(transitions)}, tuple(map(tuple, inn[n:])), tuple(map(tuple, out[n:]))
 
     def pre(self, t: NodeId) -> frozenset[NodeId]:
         """The places feeding transition t."""
@@ -58,10 +78,10 @@ class NetView:
 
 def validate_net(a: Module) -> NetView:
     """Check that every node is a place or transition and every edge crosses kinds."""
-    offenders = sorted(nid for nid, node in a.nodes.items() if node.kind is Kind.ABSTRACT)
+    offenders = sorted((nid for nid, node in a.nodes.items() if node.kind is Kind.ABSTRACT), key=_ID_KEY)
     if offenders:
         raise AbstractNodePresent(offenders)
-    bad = sorted((s, d) for s, d in a.edges if a.kind_of(s) is a.kind_of(d))
+    bad = sorted(((s, d) for s, d in a.edges if a.kind_of(s) is a.kind_of(d)), key=_edge_key)
     if bad:
         raise NotBipartite(bad)
     return NetView(
@@ -87,21 +107,14 @@ def transition_atom(n: NetView, t: NodeId) -> Module:
     atoms merge when the atoms are composed.  Markings are structural noise
     here and are left out.
     """
-    return _atom(t, n.pre(t), n.post(t))
-
-
-def _atom(t: NodeId, pre: Collection[NodeId], post: Collection[NodeId], tag: str | None = None) -> Module:
-    """The atom of `t`; with a `tag`, its node ids are minted retagged under
-    `tag`, so the atom is ready to compose with atoms of other tags."""
-    ring = tuple(sorted({*pre, *post}))
+    pre, post = n.pre(t), n.post(t)
+    ring = tuple(sorted(pre | post, key=_ID_KEY))
     if not ring:
         raise IsolatedElement([t], f"transition {t} has no surrounding places")
-    mint = {nid: nid if tag is None else nid.retagged(tag) for nid in (t, *ring)}
-    nodes = [Node(mint[t], str(t), Kind.TRANSITION)]
-    nodes += [Node(mint[p], str(p), Kind.PLACE) for p in ring]
-    edges = {(mint[p], mint[t]) for p in pre} | {(mint[t], mint[p]) for p in post}
-    places = [mint[p] for p in ring]
-    return Module(nodes, edges, places, places)
+    nodes = [Node(t, str(t), Kind.TRANSITION)]
+    nodes += [Node(p, str(p), Kind.PLACE) for p in ring]
+    edges = {(p, t) for p in pre} | {(t, p) for p in post}
+    return Module(nodes, edges, ring, ring)
 
 
 @dataclass(frozen=True)
@@ -132,6 +145,15 @@ def factorize(n: NetView) -> Factorization:
     copies carry union identities.  With identity labels no start key
     repeats, so `isomorphic` replays the one mapping the labels allow and
     runs no search.
+
+    The net is checked once, by building that monolithic module with
+    `net_to_module`, before any atom: a view it refuses is refused here
+    with the same error.  Each atom is then `transition_atom(n, t)`
+    retagged under `f{i}`, minted trusted straight from the view's
+    numbering: its ring is the sorted positions of its places, its ids are
+    minted from the net ids' `key` with no check per atom, its labels are
+    the reference's, one text per net node, and one `Interface` is both of
+    its sides.  It is well formed because the reference is.
     """
     places, transitions, pre, post = n._numbering
     linked = set(chain(*pre, *post))  # the places on some arc
@@ -140,9 +162,29 @@ def factorize(n: NetView) -> Factorization:
     if isolated:
         raise IsolatedElement(isolated)
 
-    atoms = tuple(_atom(t, [places[p] for p in ps], [places[p] for p in qs], f"f{k}")
-                  for k, (t, ps, qs) in enumerate(zip(transitions, pre, post), start=1))
-    recomposed = compose(*atoms)
     reference = net_to_module(n)
+    labels = [node.label for node in reference.nodes.values()]  # the places' texts, then the transitions'
+    atoms = tuple(_minted_atoms(places, transitions, pre, post, labels))
+    recomposed = compose(*atoms)
     witness = isomorphic(recomposed, reference, IsoOptions())
     return Factorization(atoms, recomposed, reference, witness is not None, witness)
+
+
+def _minted_atoms(places: tuple[NodeId, ...], transitions: Collection[NodeId], pre: tuple[tuple[int, ...], ...],
+                  post: tuple[tuple[int, ...], ...], labels: list[str]) -> Iterator[Module]:
+    """`transition_atom(n, t).retagged(f"f{k}")` for the k-th transition t
+    (from 1), built trusted from a numbering whose net `net_to_module`
+    accepted; `labels` are that module's labels, in its node order."""
+    place, transition = Kind.PLACE, Kind.TRANSITION
+    steps = zip(transitions, labels[len(places):], pre, post)
+    for k, (t, label, ps, qs) in enumerate(steps, start=1):
+        tag = f"f{k}/"
+        tid = _mint_id([_mint_atom(tag + instance, name) for instance, name in t.key])
+        nodes = {tid: _mint_node(tid, label, transition)}
+        mint = {}
+        for p in sorted({*ps, *qs}):
+            mint[p] = pid = _mint_id([_mint_atom(tag + instance, name) for instance, name in places[p].key])
+            nodes[pid] = _mint_node(pid, labels[p], place)
+        edges = frozenset([(mint[p], tid) for p in ps] + [(tid, mint[q]) for q in qs])
+        side = Interface(tuple(mint.values()))
+        yield Module._trusted(nodes, edges, side, side, {}, None, frozenset().union(*nodes), None)

@@ -163,6 +163,21 @@ def test_dot_empty_module():
     assert dot.startswith("digraph") and dot.rstrip().endswith("}")
 
 
+def test_dot_orders_edges_and_doubled_slots_as_sorted_ids():
+    # the writer sorts ints made from node ranks; the oracle sorts the id pairs themselves
+    rng = random.Random(13)
+    doubled_seen = 0
+    for k in range(300):
+        m = random_module(rng, f"r{k}")
+        dot_id = {nid: f"n{i}" for i, nid in enumerate(sorted(m.nodes))}
+        doubled = set(m.left) & set(m.right)
+        doubled_seen += bool(doubled)
+        want = [f"  {dot_id[s]} -> {dot_id[d]}{'r' if d in doubled else ''};" for s, d in sorted(m.edges)]
+        want += [f'  {dot_id[nid]} -> {dot_id[nid]}r [dir=none color="black:invis:black"];' for nid in sorted(doubled)]
+        assert [line for line in to_dot(m).splitlines() if re.match(r"  n\d", line)] == want
+    assert doubled_seen > 50
+
+
 # a DOT line whose quoted strings all close, holding only the escapes to_dot writes
 _DOT_LINE = re.compile(r'(?:[^"\\\r]|"(?:[^"\\\r]|\\[\\"n])*")*')
 
@@ -247,7 +262,7 @@ def _reference_pnml(a: Module) -> str:
     view = validate_net(a)
     places = sorted(view.places)
     transitions = sorted(view.transitions)
-    ids = {nid: export._pnml_id(nid) for nid in places + transitions}
+    ids = {nid: export._pnml_id(str(nid)) for nid in places + transitions}
 
     def text_child(parent, tag, text):
         ET.SubElement(ET.SubElement(parent, tag), "text").text = text

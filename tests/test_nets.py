@@ -3,18 +3,24 @@ import random
 import pytest
 
 from petrimod import (
+    AtomicNodeId,
     Kind,
     Module,
     NodeId,
+    dumps,
     evaluate,
     factorize,
     is_monolithic,
     net_to_module,
+    reachability,
     structural_equal,
     transition_atom,
     validate_net,
+    verify_well_formed,
 )
-from petrimod.errors import AbstractNodePresent, IsolatedElement, NotBipartite, UnknownTransition
+from petrimod import nets
+from petrimod.errors import (AbstractNodePresent, IsolatedElement, MalformedModule, NotBipartite,
+                             UnknownTransition)
 from petrimod.generate import random_net
 from petrimod.nets import NetView
 
@@ -153,3 +159,123 @@ def test_factorize_composes_its_tagged_atoms_without_retagging(monkeypatch):
     assert len(result.atoms) == len(want)
     for atom, expected in zip(result.atoms, want):
         assert structural_equal(atom, expected)
+
+
+# -- hand-built views ----------------------------------------------------------------
+
+def _nid(*names):
+    return NodeId(AtomicNodeId("n", name) for name in names)
+
+
+P0, P1, T0, T1 = _nid("p0"), _nid("p1"), _nid("t0"), _nid("t1")
+
+
+def _every_reader(view):
+    """The numbering's readers: `pre`, the token game and `factorize`."""
+    return [lambda: view.pre(T0), lambda: reachability(view), lambda: factorize(view)]
+
+
+def test_view_with_a_node_both_place_and_transition_is_malformed():
+    view = NetView(frozenset({P0, P1, T0}), frozenset({T0}), frozenset({(P0, T0), (T0, P1)}), {})
+    for read in _every_reader(view):
+        with pytest.raises(MalformedModule, match=r"n:t0 is both a place and a transition\Z"):
+            read()
+
+
+def test_view_with_an_arc_to_an_unknown_node_is_malformed():
+    view = NetView(frozenset({P0, P1}), frozenset({T0}), frozenset({(P0, T0), (T0, P1), (_nid("z"), T0)}), {})
+    for read in _every_reader(view):
+        with pytest.raises(MalformedModule, match=r"arc \(n:z, n:t0\) references a node that is neither"):
+            read()
+
+
+@pytest.mark.parametrize("arcs", [[(P0, P1)], [(T0, T1)], [(T1, T0), (P1, P0)]])
+def test_view_with_an_arc_between_equal_kinds_is_not_bipartite(arcs):
+    flow = frozenset({(P0, T0), (T0, P1), (P1, T1), *arcs})
+    view = NetView(frozenset({P0, P1}), frozenset({T0, T1}), flow, {})
+    for read in _every_reader(view):
+        with pytest.raises(NotBipartite) as exc:
+            read()
+        assert exc.value.bad_edges == tuple(sorted(arcs))
+
+
+def test_views_of_validate_net_number_as_before(phil_env, prod_env):
+    for env in (phil_env, prod_env):
+        for name in env.names():
+            try:
+                view = validate_net(evaluate(env, name))
+            except AbstractNodePresent:
+                continue
+            places, index, pre, post = view._numbering
+            assert places == tuple(sorted(view.places)) and list(index) == sorted(view.transitions)
+            for t, k in index.items():
+                assert {places[p] for p in pre[k]} == {s for s, d in view.flow if d == t}
+                assert {places[p] for p in post[k]} == {d for s, d in view.flow if s == t}
+
+
+@pytest.mark.parametrize("view, message", [
+    # two places sharing an atom, within one atom and across two
+    (NetView(frozenset({P0, _nid("p0", "q")}), frozenset({T0}), frozenset({(P0, T0), (T0, _nid("p0", "q"))}), {}),
+     "distinct nodes share atoms"),
+    (NetView(frozenset({P0, P1, _nid("p0", "q")}), frozenset({T0, T1}),
+             frozenset({(P0, T0), (T0, P1), (_nid("p0", "q"), T1)}), {}),
+     "distinct nodes share atoms"),
+    (NetView(frozenset({P0, P1}), frozenset({T0}), frozenset({(P0, T0), (T0, P1)}), {T0: 1}),
+     "marking on non-place node n:t0"),
+    (NetView(frozenset({P0, P1}), frozenset({T0}), frozenset({(P0, T0), (T0, P1)}), {P0: -1}),
+     "n:p0: tokens must be a non-negative integer, got -1"),
+])
+def test_factorize_refuses_a_malformed_view_as_net_to_module_does(view, message, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("an atom was minted from a malformed view")
+
+    monkeypatch.setattr(nets, "_minted_atoms", refuse)
+    for call in (factorize, net_to_module):
+        with pytest.raises(MalformedModule) as exc:
+            call(view)
+        assert str(exc.value) == message
+
+
+def _factorizable_nets(phil_env, prod_env):
+    rng = random.Random(23)
+    nets = [random_net(rng, f"r{k}") for k in range(200)]
+    for env in (phil_env, prod_env):
+        for name in env.names():
+            try:
+                nets.append(validate_net(evaluate(env, name)))
+            except AbstractNodePresent:
+                pass
+    return nets
+
+
+def test_factorize_mints_the_retagged_transition_atoms(phil_env, prod_env, monkeypatch):
+    checked = []
+    init = Module.__init__
+
+    def counted(self, *args, **kwargs):
+        checked.append(self)
+        init(self, *args, **kwargs)
+
+    factorized = 0
+    for n in _factorizable_nets(phil_env, prod_env):
+        monkeypatch.setattr(Module, "__init__", counted)
+        checked.clear()
+        try:
+            result = factorize(n)
+        except IsolatedElement:
+            continue
+        finally:
+            monkeypatch.setattr(Module, "__init__", init)
+        # one checked module, the reference; the atoms are minted trusted
+        assert checked == [result.reference]
+        assert result.matches
+        ts = sorted(n.transitions)
+        assert len(result.atoms) == len(ts)
+        for k, (atom, t) in enumerate(zip(result.atoms, ts), start=1):
+            want = transition_atom(n, t).retagged(f"f{k}")
+            assert verify_well_formed(atom) == []
+            assert dumps(atom) == dumps(want)
+            assert atom.left.slots == want.left.slots and atom.right.slots == want.right.slots
+            assert atom.atom_set == want.atom_set
+        factorized += 1
+    assert factorized == 200 + 17  # every random net and every fixture binding

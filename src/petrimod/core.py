@@ -300,14 +300,15 @@ class Module:
     agree on one kind per label, `with_name` only the name and `retagged`
     only the prefix.  A `compose` result is built on first read: until
     `nodes`, `edges`, `marking`, `left` or `right` is read it is an
-    `_Unread` module that holds its label table and a record of what it is
+    `_Unread` module that holds only its name and a record of what it is
     made of (`_pending`), and that read fills the five slots, through
     `_Unread.__getattr__`, with one glue of all the built modules below it.
-    Instances never change what they show afterwards.
+    A built module, however it was made, holds exactly its parts: nodes,
+    edges, interfaces, marking, name and atom set.  Instances never change
+    what they show afterwards.
     """
 
-    __slots__ = ("nodes", "edges", "left", "right", "marking", "name", "__weakref__", "_atoms", "_labels",
-                 "_pending")
+    __slots__ = ("nodes", "edges", "left", "right", "marking", "name", "__weakref__", "_atoms", "_pending")
 
     def __init__(
         self,
@@ -334,24 +335,21 @@ class Module:
         atoms = frozenset().union(*node_map)
         for problem in _problems(node_map, edge_set, left_if, right_if, mark, name, atoms):
             raise MalformedModule(problem)
-        # the label table is derived on demand: storing it here costs memory on every module
-        _fill(self, node_map, edge_set, left_if, right_if, mark, name, atoms, None)
+        _fill(self, node_map, edge_set, left_if, right_if, mark, name, atoms)
 
     @classmethod
     def _trusted(cls, nodes: dict[NodeId, Node], edges: frozenset[tuple[NodeId, NodeId]],
                  left: Interface, right: Interface, marking: dict[NodeId, int], name: str | None,
-                 atoms: frozenset[AtomicNodeId], labels: dict[str, Node] | None) -> "Module":
+                 atoms: frozenset[AtomicNodeId]) -> "Module":
         """A module from parts known to be well formed, with no check at all.
 
-        `atoms` is the union of the nodes' atom sets and `labels` maps each
-        label to a node that carries it, in order of the label's first node,
-        or is None to derive it on demand; only a node's label and kind are
-        read from it.  Only `closure`, the first read of a `compose` result
-        (both through `_glue`), `with_name`, `_reminted` and the atoms of
-        `nets.factorize` build modules this way.
+        `atoms` is the union of the nodes' atom sets.  Only `closure`,
+        `with_name`, `_reminted` and the atoms of `nets.factorize` build
+        modules this way; the first read of a `compose` result fills its
+        slots through the same `_fill`.
         """
         self = object.__new__(cls)
-        _fill(self, nodes, edges, left, right, marking, name, atoms, labels)
+        _fill(self, nodes, edges, left, right, marking, name, atoms)
         return self
 
     def __setattr__(self, *_):
@@ -373,11 +371,9 @@ class Module:
         return self._atoms
 
     def _node_per_label(self) -> dict[str, Node]:
-        """Each label to a node that carries it, so to its kind, in order of
-        the label's first node."""
-        if self._labels is None:
-            return {node.label: node for node in self.nodes.values()}
-        return self._labels
+        """A new table of each label to a node that carries it, so to its
+        kind, in order of the label's first node."""
+        return {node.label: node for node in self.nodes.values()}
 
     def interior(self) -> frozenset[NodeId]:
         """Nodes in no interface."""
@@ -395,7 +391,7 @@ class Module:
         if problem:
             raise MalformedModule(problem)
         return Module._trusted(dict(self.nodes), self.edges, self.left, self.right, dict(self.marking), name,
-                               self._atoms, self._labels)
+                               self._atoms)
 
     def retagged(self, prefix: str) -> "Module":
         """Fresh copy whose every atom instance is namespaced under `prefix`.
@@ -424,15 +420,16 @@ class Module:
             nodes, frozenset([(get(s), get(d)) for s, d in self.edges]),
             Interface(tuple(map(get, self.left))), Interface(tuple(map(get, self.right))),
             {get(nid): count for nid, count in self.marking.items()}, self.name,
-            frozenset().union(*nodes), self._labels)
+            frozenset().union(*nodes))
 
     def __repr__(self) -> str:
         name = self.name or "<anon>"
         return f"<Module {name}: {len(self.nodes)} nodes, {len(self.edges)} edges, L{len(self.left)}/R{len(self.right)}>"
 
 
-def _fill(m: Module, nodes, edges, left, right, marking, name, atoms, labels) -> None:
-    """Set a new module's slots, past its refusing `__setattr__`."""
+def _fill(m: Module, nodes, edges, left, right, marking, name, atoms) -> None:
+    """Set a built module's slots, past its refusing `__setattr__`: the one
+    slot filler, for checked, trusted and first-read modules alike."""
     set_ = object.__setattr__
     set_(m, "nodes", nodes)
     set_(m, "edges", edges)
@@ -441,7 +438,6 @@ def _fill(m: Module, nodes, edges, left, right, marking, name, atoms, labels) ->
     set_(m, "marking", marking)
     set_(m, "name", name)
     set_(m, "_atoms", atoms)
-    set_(m, "_labels", labels)
     set_(m, "_pending", None)
 
 
@@ -537,12 +533,12 @@ def _adjacency(index: Mapping[NodeId, int], edges: Iterable[tuple[NodeId, NodeId
     return out, inn
 
 
-def _glued_labels(parts: Sequence[Module]) -> dict[str, Node]:
-    """The label table of `parts` glued in order, each label at its first
-    part; raises `MalformedModule` on the first label that a part gives
-    another kind than the parts before it."""
-    labels = dict(parts[0]._node_per_label()) if parts else {}
-    for problem in _kind_clashes(labels, chain.from_iterable(part._node_per_label().values() for part in parts[1:])):
+def _glued_labels(tables: Sequence[dict[str, Node]]) -> dict[str, Node]:
+    """The label tables of parts glued in order, each label at its first
+    part, grown into the first table; raises `MalformedModule` on the first
+    label that a part gives another kind than the parts before it."""
+    labels = tables[0] if tables else {}
+    for problem in _kind_clashes(labels, chain.from_iterable(table.values() for table in tables[1:])):
         raise MalformedModule(problem)
     return labels
 
@@ -564,7 +560,7 @@ class _Unread(Module):
 
     @property
     def atom_set(self) -> frozenset[AtomicNodeId]:
-        return self._pending.frozen_atoms()
+        return frozenset(self._pending.held()[1])
 
 
 class _Pending:
@@ -577,84 +573,72 @@ class _Pending:
     merged to the first member of its class, as `_glue` takes it.  `left`
     and `right` are the result's interfaces, each merged node in the id of
     the member that fills the slot, and `ends` maps every interface node to
-    its Node.  `atoms` is the atom set: a `set` this result owns until a
-    later `compose` takes it over and grows it in place (None then, and
-    rebuilt from the parts if needed again), or a `frozenset` once read
-    through `atom_set`.
+    its Node.  `labels`, the label table, and `atoms`, the atom set, are
+    the record's own until a later `compose` takes them over, growing them
+    into its result's or copying them there.  Each is None then, and
+    rebuilt from the built modules below if it is needed again, so no
+    record under another keeps either.
     """
 
-    __slots__ = ("parts", "cls", "left", "right", "ends", "atoms")
+    __slots__ = ("parts", "cls", "left", "right", "ends", "labels", "atoms")
 
     def __init__(self, parts: tuple[Module | _Pending, ...], cls: dict[NodeId, NodeId], left: Interface,
-                 right: Interface, ends: dict[NodeId, Node], atoms: set[AtomicNodeId]):
+                 right: Interface, ends: dict[NodeId, Node], labels: dict[str, Node], atoms: set[AtomicNodeId]):
         self.parts = parts
         self.cls = cls
         self.left = left
         self.right = right
         self.ends = ends
+        self.labels = labels
         self.atoms = atoms
 
-    def atom_view(self) -> set[AtomicNodeId] | frozenset[AtomicNodeId]:
-        """The atom set, read only; rebuilt from the parts once taken over."""
-        if self.atoms is None:
-            sets, stack = [], list(self.parts)
-            while stack:
-                part = stack.pop()
-                if type(part) is not _Pending:
-                    sets.append(part._atoms)
-                elif part.atoms is None:
-                    stack += part.parts
-                else:
-                    sets.append(part.atoms)
-            self.atoms = frozenset().union(*sets)
-        return self.atoms
+    def walk(self) -> tuple[list[_Pending], list[Module]]:
+        """The records of the tree under this one, itself first, and the
+        built modules at its leaves, operands left to right."""
+        records, leaves, stack = [], [], [self]
+        while stack:
+            part = stack.pop()
+            if type(part) is _Pending:
+                records.append(part)
+                stack += reversed(part.parts)
+            else:
+                leaves.append(part)
+        return records, leaves
 
-    def frozen_atoms(self) -> frozenset[AtomicNodeId]:
-        atoms = self.atom_view()
-        if type(atoms) is not frozenset:
-            self.atoms = atoms = frozenset(atoms)
-        return atoms
+    def held(self) -> tuple[dict[str, Node], set[AtomicNodeId]]:
+        """The label table and the atom set, rebuilt once taken over."""
+        if self.atoms is None:
+            leaves = self.walk()[1]
+            self.labels = {node.label: node for leaf in leaves for node in leaf.nodes.values()}
+            self.atoms = set().union(*[leaf._atoms for leaf in leaves])
+        return self.labels, self.atoms
 
 
 def _build(m: Module) -> None:
     """Fill the unset slots of a `compose` result on its first read.
 
-    The tree of records below `m` is walked with an explicit stack,
-    operands left to right, down to built modules.  Their classes, all in
-    leaf ids, joined by union-find give one class map over the built
-    leaves, and one `_glue` of the leaves makes what `compose(*leaves)`
-    makes, in the same node, slot and marking order; the interfaces go
-    through the map it returns, so each merged id is minted there, once.
-    The record is dropped before the glue, so a leaf that nothing else
-    holds is freed as soon as it is glued.
+    The tree of records below `m` is walked, operands left to right, down
+    to built modules.  Their classes, all in leaf ids, joined by union-find
+    give one class map over the built leaves, and one `_glue` of the leaves
+    makes what `compose(*leaves)` makes, in the same node, slot and marking
+    order; the interfaces go through the map it returns, so each merged id
+    is minted there, once, and `_fill` sets the slots.  The record is
+    dropped before the glue, so a leaf that nothing else holds is freed as
+    soon as it is glued.
     """
     record = m._pending
-    leaves: list[Module] = []
-    records: list[_Pending] = []
-    stack = [record]
-    while stack:
-        part = stack.pop()
-        if type(part) is _Pending:
-            records.append(part)
-            stack += reversed(part.parts)
-        else:
-            leaves.append(part)
+    records, leaves = record.walk()
     # one record means built parts only, whose classes `compose` left final
     cls = record.cls if len(records) == 1 else _classes(chain.from_iterable(r.cls.items() for r in records))
     left, right = record.left, record.right
     # from here `leaves` holds the last reference to a leaf nothing else holds; a glue cut
     # short by an exception leaves `m` with nothing to build (see `_Unread.__getattr__`)
-    set_ = object.__setattr__
-    set_(m, "_pending", None)
-    del part, record, records
+    object.__setattr__(m, "_pending", None)
+    del record, records
     nodes, edges, marking, atoms, mp = _glue(leaves, cls)
-    set_(m, "nodes", nodes)
-    set_(m, "edges", edges)
-    set_(m, "marking", marking)
-    set_(m, "left", Interface(tuple([mp(nid, nid) for nid in left])))
-    set_(m, "right", Interface(tuple([mp(nid, nid) for nid in right])))
-    set_(m, "_atoms", atoms)
-    set_(m, "__class__", Module)
+    _fill(m, nodes, edges, Interface(tuple([mp(nid, nid) for nid in left])),
+          Interface(tuple([mp(nid, nid) for nid in right])), marking, m.name, atoms)
+    object.__setattr__(m, "__class__", Module)
 
 
 def _first_overlap(sets: Sequence[Iterable[AtomicNodeId]]) -> tuple[int, set[AtomicNodeId]]:
@@ -695,25 +679,28 @@ def compose(*parts: Module) -> Module:
     under the result, so a fold of binary calls in any grouping costs one
     n-ary glue and mints each merged id once.  The chain's right slots are
     kept in one deque per label, index 1 first, so a step costs the size of
-    its interfaces.  The largest atom set a pending part owns becomes the
-    result's and grows in place, so a fold copies no atom set.
+    its interfaces.  The first part's label table and the largest atom set
+    of a pending part become the result's and grow in place, so a fold
+    copies neither.
     """
-    sets, ends_of, records = [], [], []  # a record: a built part itself, or a pending part's `_Pending`
-    owner = None  # the pending part that owns the largest atom set; it grows into the result's
+    sets, tables, ends_of, records = [], [], [], []  # a record: a built part itself, or a pending part's `_Pending`
+    owned = None  # the largest atom set of a pending part; it grows into the result's
     for part in parts:
         pending = part._pending
         if pending is None:
             sets.append(part._atoms)
+            tables.append(part._node_per_label())
             ends_of.append(part.nodes)
             records.append(part)
         else:
-            atoms = pending.atom_view()
-            if type(atoms) is set and (owner is None or len(atoms) > len(owner.atoms)):
-                owner = pending
+            labels, atoms = pending.held()
+            pending.labels = pending.atoms = None  # taken over: grown into the result's or copied there
+            if owned is None or len(atoms) > len(owned):
+                owned = atoms
             sets.append(atoms)
+            tables.append(labels)
             ends_of.append(pending.ends)
             records.append(pending)
-    owned = owner.atoms if owner is not None else None
     atoms = set()
     total = 0
     for s in sets:
@@ -744,7 +731,7 @@ def compose(*parts: Module) -> Module:
                         pairs.append((x.id, y.id))
         except (NonDisjointOperands, KindMismatch):
             # the binary fold would have built, and so checked, the chain so far
-            _glued_labels(parts[:k])
+            _glued_labels(tables[:k])
             raise
         for x, y in pairs:
             cls[y] = cls.setdefault(x, x)
@@ -754,22 +741,21 @@ def compose(*parts: Module) -> Module:
             for nid in reversed(part.right.slots):
                 node = ends[nid]
                 tails.setdefault(node.label, deque()).appendleft(node)
-    labels = _glued_labels(parts)
+    labels = _glued_labels(tables)
 
     left = [ends[nid] for part, ends in zip(records, ends_of) for nid in part.left if nid not in paired_left]
     right = [ends[nid] for part, ends in zip(reversed(records), reversed(ends_of))
              for nid in part.right if nid not in paired_right]
 
-    if owner is not None:
+    if owned is not None:
         owned |= atoms
-        atoms, owner.atoms = owned, None
+        atoms = owned
     result = object.__new__(_Unread)
     set_ = object.__setattr__
     set_(result, "name", None)
-    set_(result, "_labels", labels)
     set_(result, "_pending", _Pending(tuple(records), cls, Interface(tuple([node.id for node in left])),
                                       Interface(tuple([node.id for node in right])),
-                                      {node.id: node for node in chain(left, right)}, atoms))
+                                      {node.id: node for node in chain(left, right)}, labels, atoms))
     return result
 
 
@@ -789,8 +775,7 @@ def closure(a: Module) -> Module:
     dropped_right = {r for r, _ in pairs}
     left = [mp(n, n) for n in a.left if n not in dropped_left]
     right = [mp(n, n) for n in a.right if n not in dropped_right]
-    return Module._trusted(nodes, edges, Interface(tuple(left)), Interface(tuple(right)), marking, None, atoms,
-                           a._node_per_label())
+    return Module._trusted(nodes, edges, Interface(tuple(left)), Interface(tuple(right)), marking, None, atoms)
 
 
 def abstract_of(a: Module) -> Module:

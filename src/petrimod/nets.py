@@ -77,19 +77,23 @@ class NetView:
 
 
 def validate_net(a: Module) -> NetView:
-    """Check that every node is a place or transition and every edge crosses kinds."""
+    """Check that every node is a place or transition and every edge crosses kinds.
+
+    Abstract nodes raise `AbstractNodePresent`.  Arcs between equal kinds
+    are found by the view's own rule: its numbering is built here, so
+    `NotBipartite` is raised at this call and the view comes back numbered.
+    """
     offenders = sorted((nid for nid, node in a.nodes.items() if node.kind is Kind.ABSTRACT), key=_ID_KEY)
     if offenders:
         raise AbstractNodePresent(offenders)
-    bad = sorted(((s, d) for s, d in a.edges if a.kind_of(s) is a.kind_of(d)), key=_edge_key)
-    if bad:
-        raise NotBipartite(bad)
-    return NetView(
+    view = NetView(
         places=frozenset(nid for nid, n in a.nodes.items() if n.kind is Kind.PLACE),
         transitions=frozenset(nid for nid, n in a.nodes.items() if n.kind is Kind.TRANSITION),
         flow=a.edges,
         marking=dict(a.marking),
     )
+    view._numbering
+    return view
 
 
 def net_to_module(n: NetView) -> Module:
@@ -187,4 +191,4 @@ def _minted_atoms(places: tuple[NodeId, ...], transitions: Collection[NodeId], p
             nodes[pid] = _mint_node(pid, labels[p], place)
         edges = frozenset([(mint[p], tid) for p in ps] + [(tid, mint[q]) for q in qs])
         side = Interface(tuple(mint.values()))
-        yield Module._trusted(nodes, edges, side, side, {}, None, frozenset().union(*nodes), None)
+        yield Module._trusted(nodes, edges, side, side, {}, None, frozenset().union(*nodes))

@@ -1,4 +1,5 @@
 import functools
+import gc
 import operator
 import os
 import pickle
@@ -28,6 +29,7 @@ from petrimod import (
     dumps,
     empty_module,
     evaluate,
+    factorize,
     fixture_path,
     instantiate,
     is_monolithic,
@@ -654,6 +656,42 @@ def test_a_read_result_lets_its_leaves_go(phil_env):
     assert leaf() is not None  # the unread intermediate still holds it
     del middle
     assert leaf() is None
+
+
+def _kinds(labels):
+    return [(label, n.kind) for label, n in labels.items()]
+
+
+def test_a_fold_keeps_one_label_table_and_one_atom_set(phil_env):
+    seats = _fork_seats(phil_env, 4)
+    row = _fold_fork_seats(seats)
+    records = row._pending.walk()[0]
+    # every later call took over its unread operands' table and set
+    assert len(records) == 4 * 3 + 3
+    assert all(r.labels is None and r.atoms is None for r in records[1:])
+    think, left, right, eat = seats[0]
+    inner = compose(left, right)
+    compose(think, inner)
+    assert inner._pending.atoms is None
+    # the top record's own and a taken record's rebuilt ones are what the first read derives
+    for m in (row, inner):
+        labels, atoms = m._pending.held()
+        assert _kinds(labels) == _kinds(m._node_per_label()) and atoms == m.atom_set
+
+
+def _referent_types(m):
+    return sorted(type(r).__name__ for r in gc.get_referents(m))
+
+
+def test_a_built_module_holds_only_its_parts(phil_env):
+    a, b = two_gamma_operands()
+    glued = compose(a, b)
+    glued.nodes
+    ring = evaluate(phil_env, "phils_in_a_cycle")
+    atom = factorize(validate_net(ring)).atoms[0]
+    for m in (glued, closure(glued), glued.with_name("W"), glued.retagged("r"), ring, ring.retagged("r"), atom):
+        plain = Module(m.nodes, m.edges, m.left, m.right, m.marking, m.name)
+        assert type(m) is Module and _referent_types(m) == _referent_types(plain)
 
 
 def test_compose_of_one_or_no_parts():

@@ -1,5 +1,7 @@
 """The package keeps zero runtime dependencies: its modules import only the
-standard library and petrimod itself, and pyproject declares nothing."""
+standard library and petrimod itself, and pyproject declares nothing.  It
+also runs the same under `python -O`: it has no `assert` statement and
+never reads `__debug__`."""
 
 import ast
 import sys
@@ -25,6 +27,17 @@ def test_package_imports_only_the_standard_library():
                 if top != "petrimod" and top not in sys.stdlib_module_names:
                     foreign.append(f"{path.name}:{node.lineno} {name}")
     assert foreign == []
+
+
+def test_package_does_the_same_under_python_O():
+    # `-O` strips assert statements and sets `__debug__` to False; the package
+    # has neither, so an optimized run executes the code the tests check
+    found = []
+    for path in sorted((ROOT / "src" / "petrimod").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Assert) or isinstance(node, ast.Name) and node.id == "__debug__":
+                found.append(f"{path.name}:{node.lineno} {type(node).__name__}")
+    assert found == []
 
 
 def test_pyproject_declares_no_runtime_dependencies():

@@ -3,6 +3,7 @@ import json
 import random
 import re
 import xml.etree.ElementTree as ET
+from xml.sax.saxutils import escape
 
 import pytest
 
@@ -310,10 +311,13 @@ def test_pnml_bytes_match_the_elementtree_writer(phil_env, prod_env):
 
 @pytest.mark.parametrize("text", HOSTILE + [HOSTILE_ATOM, "", "plain"])
 def test_escapes_are_elementtrees(text):
-    # the writer's own copies of the standard library's escapes: no id or
-    # label reaches every character, so they are compared here directly
+    # the writer's escapes are ElementTree's: no id or label reaches every
+    # character, so they are compared here directly, and with the public
+    # saxutils escapes, so a change of ElementTree's shows here
     assert export._escape_attrib(text) == ET._escape_attrib(text)
     assert export._escape_cdata(text) == ET._escape_cdata(text)
+    assert export._escape_attrib(text) == escape(text, {'"': "&quot;", "\r": "&#13;", "\n": "&#10;", "\t": "&#09;"})
+    assert export._escape_cdata(text) == escape(text)
 
 
 # -- bytes pinned across Python versions ------------------------------------------

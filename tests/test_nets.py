@@ -78,6 +78,30 @@ def test_same_kind_edge_rejected():
     assert exc.value.bad_edges == ((p0.id, p1.id),)
 
 
+def _bad_edges_reference(a):
+    """The arcs between equal kinds as `validate_net` once listed them itself."""
+    return tuple(sorted(((s, d) for s, d in a.edges if a.kind_of(s) is a.kind_of(d)),
+                        key=lambda e: (e[0].key, e[1].key)))
+
+
+def test_validate_net_refuses_arcs_of_equal_kind_as_its_own_check_did():
+    rng = random.Random(24)
+    checked = 0
+    while checked < 300:
+        n = rng.randint(2, 10)
+        nodes = [node(rng.choice("ab"), f"n{i}", rng.choice("pqtu")) for i in range(n)]
+        ids = [x.id for x in nodes]
+        m = module(nodes, {(rng.choice(ids), rng.choice(ids)) for _ in range(rng.randint(1, 2 * n))})
+        want = _bad_edges_reference(m)
+        if not want:
+            assert validate_net(m).flow == m.edges
+            continue
+        with pytest.raises(NotBipartite) as exc:
+            validate_net(m)
+        assert exc.value.bad_edges == want
+        checked += 1
+
+
 def test_net_to_module_is_monolithic_with_identity_labels():
     n = small_net()
     m = net_to_module(n)

@@ -80,12 +80,6 @@ def _write(text: str, out: str | None):
 
 # -- commands -------------------------------------------------------------------
 
-def _cmd_eval(args) -> int:
-    module = _evaluate(_load(args.file), args.name)
-    sys.stdout.write(dumps(module))
-    return 0
-
-
 def _cmd_dump(args) -> int:
     module = _evaluate(_load(args.file), args.name)
     _write(dumps(module), args.output)
@@ -256,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a definition and print its canonical dump")
     p.add_argument("file")
     p.add_argument("name")
-    p.set_defaults(func=_cmd_eval)
+    p.set_defaults(func=_cmd_dump, output=None)
 
     p = sub.add_parser("dump", help="write the canonical dump of a definition")
     p.add_argument("file")

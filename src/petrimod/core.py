@@ -304,11 +304,12 @@ class Module:
     made of (`_pending`), and that read fills the five slots, through
     `_Unread.__getattr__`, with one glue of all the built modules below it.
     A built module, however it was made, holds exactly its parts: nodes,
-    edges, interfaces, marking, name and atom set.  Instances never change
+    edges, interfaces, marking and name.  Its atom set is the union of its
+    node ids, derived by `atom_set` on each read.  Instances never change
     what they show afterwards.
     """
 
-    __slots__ = ("nodes", "edges", "left", "right", "marking", "name", "__weakref__", "_atoms", "_pending")
+    __slots__ = ("nodes", "edges", "left", "right", "marking", "name", "__weakref__", "_pending")
 
     def __init__(
         self,
@@ -332,24 +333,21 @@ class Module:
         right_if = right if isinstance(right, Interface) else Interface(tuple(right))
         # an int zero is no token; anything else is kept for the checker to judge
         mark = {nid: count for nid, count in (marking or {}).items() if count or type(count) is not int}
-        atoms = frozenset().union(*node_map)
-        for problem in _problems(node_map, edge_set, left_if, right_if, mark, name, atoms):
+        for problem in _problems(node_map, edge_set, left_if, right_if, mark, name):
             raise MalformedModule(problem)
-        _fill(self, node_map, edge_set, left_if, right_if, mark, name, atoms)
+        _fill(self, node_map, edge_set, left_if, right_if, mark, name)
 
     @classmethod
     def _trusted(cls, nodes: dict[NodeId, Node], edges: frozenset[tuple[NodeId, NodeId]],
-                 left: Interface, right: Interface, marking: dict[NodeId, int], name: str | None,
-                 atoms: frozenset[AtomicNodeId]) -> "Module":
+                 left: Interface, right: Interface, marking: dict[NodeId, int], name: str | None) -> "Module":
         """A module from parts known to be well formed, with no check at all.
 
-        `atoms` is the union of the nodes' atom sets.  Only `closure`,
-        `with_name`, `_reminted` and the atoms of `nets.factorize` build
-        modules this way; the first read of a `compose` result fills its
-        slots through the same `_fill`.
+        Only `closure`, `with_name`, `_reminted` and the atoms of
+        `nets.factorize` build modules this way; the first read of a
+        `compose` result fills its slots through the same `_fill`.
         """
         self = object.__new__(cls)
-        _fill(self, nodes, edges, left, right, marking, name, atoms)
+        _fill(self, nodes, edges, left, right, marking, name)
         return self
 
     def __setattr__(self, *_):
@@ -368,7 +366,8 @@ class Module:
 
     @property
     def atom_set(self) -> frozenset[AtomicNodeId]:
-        return self._atoms
+        """The union of the node ids, a new set on each read."""
+        return frozenset().union(*self.nodes)
 
     def _node_per_label(self) -> dict[str, Node]:
         """A new table of each label to a node that carries it, so to its
@@ -390,8 +389,7 @@ class Module:
         problem = _name_problem(name)
         if problem:
             raise MalformedModule(problem)
-        return Module._trusted(dict(self.nodes), self.edges, self.left, self.right, dict(self.marking), name,
-                               self._atoms)
+        return Module._trusted(dict(self.nodes), self.edges, self.left, self.right, dict(self.marking), name)
 
     def retagged(self, prefix: str) -> "Module":
         """Fresh copy whose every atom instance is namespaced under `prefix`.
@@ -419,17 +417,17 @@ class Module:
         return Module._trusted(
             nodes, frozenset([(get(s), get(d)) for s, d in self.edges]),
             Interface(tuple(map(get, self.left))), Interface(tuple(map(get, self.right))),
-            {get(nid): count for nid, count in self.marking.items()}, self.name,
-            frozenset().union(*nodes))
+            {get(nid): count for nid, count in self.marking.items()}, self.name)
 
     def __repr__(self) -> str:
         name = self.name or "<anon>"
         return f"<Module {name}: {len(self.nodes)} nodes, {len(self.edges)} edges, L{len(self.left)}/R{len(self.right)}>"
 
 
-def _fill(m: Module, nodes, edges, left, right, marking, name, atoms) -> None:
+def _fill(m: Module, nodes, edges, left, right, marking, name) -> None:
     """Set a built module's slots, past its refusing `__setattr__`: the one
-    slot filler, for checked, trusted and first-read modules alike."""
+    slot filler, for checked, trusted and first-read modules alike.  The
+    parts and the name are all it holds; nothing derived is stored."""
     set_ = object.__setattr__
     set_(m, "nodes", nodes)
     set_(m, "edges", edges)
@@ -437,7 +435,6 @@ def _fill(m: Module, nodes, edges, left, right, marking, name, atoms) -> None:
     set_(m, "right", right)
     set_(m, "marking", marking)
     set_(m, "name", name)
-    set_(m, "_atoms", atoms)
     set_(m, "_pending", None)
 
 
@@ -452,8 +449,8 @@ def is_monolithic(a: Module) -> bool:
 
 
 def _glue(parts: list[Module], cls: Mapping[NodeId, NodeId]) -> tuple:
-    """The nodes, edges, marking and atoms of `parts` with the nodes of each
-    class merged into one, and the map from a node id to its merged id.
+    """The nodes, edges and marking of `parts` with the nodes of each class
+    merged into one, and the map from a node id to its merged id.
 
     The one merge-and-rebuild behind `compose` and `closure`.  `cls` maps
     every merged node to a key its whole class shares, and the members of a
@@ -474,7 +471,6 @@ def _glue(parts: list[Module], cls: Mapping[NodeId, NodeId]) -> tuple:
     nodes: dict[NodeId, Node] = {}
     marking: dict[NodeId, int] = {}
     edges: list = []
-    atoms = []
     for i, part in enumerate(parts):
         parts[i] = None
         node_map = part.nodes
@@ -490,11 +486,10 @@ def _glue(parts: list[Module], cls: Mapping[NodeId, NodeId]) -> tuple:
             nodes.update(node_map)
             edges.append(part.edges)
             marking.update(part.marking)
-        atoms.append(part._atoms)
     for nid in target.values():
         node = nodes[nid]
         nodes[nid] = Node(nid, node.label, node.kind)
-    return nodes, frozenset(edges) if cls else frozenset().union(*edges), marking, frozenset().union(*atoms), mp
+    return nodes, frozenset(edges) if cls else frozenset().union(*edges), marking, mp
 
 
 def _classes(pairs: Iterable[tuple[NodeId, NodeId]]) -> dict[NodeId, NodeId]:
@@ -545,9 +540,10 @@ def _glued_labels(tables: Sequence[dict[str, Node]]) -> dict[str, Node]:
 
 class _Unread(Module):
     """A `compose` result whose `nodes`, `edges`, `marking`, `left` and
-    `right` are not built yet.  The first read of one of them builds all
-    five and makes the result a plain `Module`, so built modules pay
-    nothing for `__getattr__`."""
+    `right` are not built yet.  The first read of one of them, or of
+    anything derived from them such as `atom_set`, builds all five and
+    makes the result a plain `Module`, so built modules pay nothing for
+    `__getattr__`."""
 
     __slots__ = ()
 
@@ -557,10 +553,6 @@ class _Unread(Module):
             raise AttributeError(name)
         _build(self)
         return getattr(self, name)
-
-    @property
-    def atom_set(self) -> frozenset[AtomicNodeId]:
-        return frozenset(self._pending.held()[1])
 
 
 class _Pending:
@@ -576,8 +568,8 @@ class _Pending:
     its Node.  `labels`, the label table, and `atoms`, the atom set, are
     the record's own until a later `compose` takes them over, growing them
     into its result's or copying them there.  Each is None then, and
-    rebuilt from the built modules below if it is needed again, so no
-    record under another keeps either.
+    rebuilt from the built modules below, the set from their node ids, if
+    it is needed again, so no record under another keeps either.
     """
 
     __slots__ = ("parts", "cls", "left", "right", "ends", "labels", "atoms")
@@ -610,7 +602,7 @@ class _Pending:
         if self.atoms is None:
             leaves = self.walk()[1]
             self.labels = {node.label: node for leaf in leaves for node in leaf.nodes.values()}
-            self.atoms = set().union(*[leaf._atoms for leaf in leaves])
+            self.atoms = set().union(*[nid for leaf in leaves for nid in leaf.nodes])
         return self.labels, self.atoms
 
 
@@ -635,9 +627,9 @@ def _build(m: Module) -> None:
     # short by an exception leaves `m` with nothing to build (see `_Unread.__getattr__`)
     object.__setattr__(m, "_pending", None)
     del record, records
-    nodes, edges, marking, atoms, mp = _glue(leaves, cls)
+    nodes, edges, marking, mp = _glue(leaves, cls)
     _fill(m, nodes, edges, Interface(tuple([mp(nid, nid) for nid in left])),
-          Interface(tuple([mp(nid, nid) for nid in right])), marking, m.name, atoms)
+          Interface(tuple([mp(nid, nid) for nid in right])), marking, m.name)
     object.__setattr__(m, "__class__", Module)
 
 
@@ -679,38 +671,31 @@ def compose(*parts: Module) -> Module:
     under the result, so a fold of binary calls in any grouping costs one
     n-ary glue and mints each merged id once.  The chain's right slots are
     kept in one deque per label, index 1 first, so a step costs the size of
-    its interfaces.  The first part's label table and the largest atom set
-    of a pending part become the result's and grow in place, so a fold
-    copies neither.
+    its interfaces.  Every operand's label table and atom set is the
+    call's own: a built operand's are derived from its nodes, a pending
+    operand's are taken over from its record.  The first table and the
+    largest set become the result's and grow in place, so a fold copies
+    neither.
     """
     sets, tables, ends_of, records = [], [], [], []  # a record: a built part itself, or a pending part's `_Pending`
-    owned = None  # the largest atom set of a pending part; it grows into the result's
     for part in parts:
         pending = part._pending
         if pending is None:
-            sets.append(part._atoms)
+            sets.append(set().union(*part.nodes))
             tables.append(part._node_per_label())
             ends_of.append(part.nodes)
             records.append(part)
         else:
             labels, atoms = pending.held()
             pending.labels = pending.atoms = None  # taken over: grown into the result's or copied there
-            if owned is None or len(atoms) > len(owned):
-                owned = atoms
             sets.append(atoms)
             tables.append(labels)
             ends_of.append(pending.ends)
             records.append(pending)
-    atoms = set()
-    total = 0
-    for s in sets:
-        total += len(s)
-        if s is not owned:
-            atoms |= s
-    if owned is not None:
-        overlap = None if len(atoms) + len(owned) == total and owned.isdisjoint(atoms) else _first_overlap(sets)
-    else:
-        overlap = None if len(atoms) == total else _first_overlap(sets)
+    atoms = max(sets, key=len, default=set())  # it grows into the result's once the checks pass
+    rest = set().union(*[s for s in sets if s is not atoms])
+    disjoint = len(atoms) + len(rest) == sum(map(len, sets)) and atoms.isdisjoint(rest)
+    overlap = None if disjoint else _first_overlap(sets)
 
     cls: dict[NodeId, NodeId] = {}  # merged node -> first member of its class
     tails: dict[str, deque[Node]] = {}  # the chain's right slots by label, in slot order
@@ -747,9 +732,7 @@ def compose(*parts: Module) -> Module:
     right = [ends[nid] for part, ends in zip(reversed(records), reversed(ends_of))
              for nid in part.right if nid not in paired_right]
 
-    if owned is not None:
-        owned |= atoms
-        atoms = owned
+    atoms |= rest
     result = object.__new__(_Unread)
     set_ = object.__setattr__
     set_(result, "name", None)
@@ -770,12 +753,12 @@ def closure(a: Module) -> Module:
     total and idempotent.
     """
     pairs = [(r, l) for _, _, r, l in _pair_slots(a.right, a.left, a.label_of) if r != l]
-    nodes, edges, marking, atoms, mp = _glue([a], _classes(pairs))
+    nodes, edges, marking, mp = _glue([a], _classes(pairs))
     dropped_left = {l for _, l in pairs}
     dropped_right = {r for r, _ in pairs}
     left = [mp(n, n) for n in a.left if n not in dropped_left]
     right = [mp(n, n) for n in a.right if n not in dropped_right]
-    return Module._trusted(nodes, edges, Interface(tuple(left)), Interface(tuple(right)), marking, None, atoms)
+    return Module._trusted(nodes, edges, Interface(tuple(left)), Interface(tuple(right)), marking, None)
 
 
 def abstract_of(a: Module) -> Module:
@@ -813,10 +796,10 @@ def _problems(
     right: Interface,
     marking: Mapping[NodeId, int],
     name: object,
-    atoms: frozenset[AtomicNodeId],
 ) -> Iterator[str]:
-    """Every structural violation of a module's parts, in a fixed order;
-    `atoms` is the union of the nodes' atom sets.
+    """Every structural violation of a module's parts, in a fixed order.
+    Distinct nodes share atoms when their ids hold more atoms than their
+    union.
 
     The one checker behind both `Module(...)` and `verify_well_formed`.
     Invariants that `Node`, `NodeId` and `Interface` enforce when they are
@@ -829,7 +812,7 @@ def _problems(
         if node.id is not nid and node.id != nid:  # identity first: `!=` runs NodeId.__eq__
             yield f"node map key {nid} != node id {node.id}"
     yield from _kind_clashes({}, nodes.values())
-    if sum(map(len, nodes)) != len(atoms):
+    if sum(map(len, nodes)) != len(frozenset().union(*nodes)):
         yield "distinct nodes share atoms"
 
     for src, dst in edges:
@@ -879,4 +862,4 @@ def verify_well_formed(a: Module) -> list[str]:
     `nodes` or `marking` dict was changed after construction, can be
     checked independently.
     """
-    return list(_problems(a.nodes, a.edges, a.left, a.right, a.marking, a.name, frozenset().union(*a.nodes)))
+    return list(_problems(a.nodes, a.edges, a.left, a.right, a.marking, a.name))

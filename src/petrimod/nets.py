@@ -191,4 +191,4 @@ def _minted_atoms(places: tuple[NodeId, ...], transitions: Collection[NodeId], p
             nodes[pid] = _mint_node(pid, labels[p], place)
         edges = frozenset([(mint[p], tid) for p in ps] + [(tid, mint[q]) for q in qs])
         side = Interface(tuple(mint.values()))
-        yield Module._trusted(nodes, edges, side, side, {}, None, frozenset().union(*nodes))
+        yield Module._trusted(nodes, edges, side, side, {}, None)

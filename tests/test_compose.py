@@ -692,6 +692,16 @@ def test_a_built_module_holds_only_its_parts(phil_env):
     for m in (glued, closure(glued), glued.with_name("W"), glued.retagged("r"), ring, ring.retagged("r"), atom):
         plain = Module(m.nodes, m.edges, m.left, m.right, m.marking, m.name)
         assert type(m) is Module and _referent_types(m) == _referent_types(plain)
+        for built in (m, plain):
+            # by identity: the parts, the name, the None of `_pending` (no record) and the class
+            held = (built.nodes, built.edges, built.left, built.right, built.marking, built.name, None, Module)
+            assert sorted(map(id, gc.get_referents(built))) == sorted(map(id, held))
+            assert built.atom_set == frozenset().union(*built.nodes)
+    unread = compose(glued, a.retagged("u"))
+    assert type(unread) is not Module
+    atoms = unread.atom_set  # the first read
+    assert type(unread) is Module and unread._pending is None
+    assert atoms == frozenset().union(*unread.nodes) == glued.atom_set | a.retagged("u").atom_set
 
 
 def test_compose_of_one_or_no_parts():

@@ -17,12 +17,31 @@ so no field carries into the next.
 Each reached state that is not yet expanded keeps its enabled transitions as
 one int with a bit per transition id.  A new state starts from its parent's
 bits and re-tests only the transitions that consume a place the fired
-transition changed.  The sweep stores no arcs, only a running arc count per
-state: a state's arcs are its enabled transitions, in id order, whose
-successor passed the token cap and was stored, so `ReachGraph.arcs` rebuilds
-a state's row from the packed states when it is read.  An `Invariant` of
-`sum`/`max` clauses is evaluated on the packed states through one field mask
-per clause.
+transition changed.
+
+Most arcs are one pair of independent steps taken in the other order, so the
+sweep keeps sleep sets (Godefroid, Partial-Order Methods for the Verification
+of Concurrent Systems, LNCS 1032, 1996).  Transitions t and u are independent
+when they share no place, in pre- or post-set: each leaves the other's
+enabledness and effect alone.  Each state is born with a sleep mask, the
+transitions it does not fire because their successor is stored already.
+Expanding state m walks its enabled transitions outside its mask in ascending
+id; `done` starts as the mask and gains each transition whose successor
+passed the token cap, new or seen.  A child c found by u sleeps the `done`
+transitions independent of u.  That is exact: for t asleep in c, m + t was
+stored before c was born, so it is expanded before c and fires u or sleeps
+it, by induction on the state index, and c + t = m + t + u is stored when c
+is expanded.  Each field of c + t is a field of m + t or of c, so the token
+cap passes it too.  Sleep masks keep every state, parent and arc, and drop
+only firings: on the 22-philosopher ring 79,204 of 481,624 arcs are fired.
+Once `max_markings` cuts a successor, a sleeping one may never be stored, so
+from then on every enabled transition fires.
+
+The sweep stores no arcs, only a running arc count per state: a state's
+arcs are its enabled transitions, in id order, whose successor passed the
+token cap and was stored, so `ReachGraph.arcs` rebuilds a state's row from
+the packed states when it is read.  An `Invariant` of `sum`/`max` clauses is
+evaluated on the packed states through one field mask per clause.
 """
 
 from __future__ import annotations
@@ -218,44 +237,56 @@ def reachability(
     # enabledness of u reads only u's pre-places, so firing t can change it
     # only when u consumes a place t changes: one in pre(t) △ post(t)
     consumers = [0] * len(places)  # bits of the transitions each place feeds
+    touching = [0] * len(places)  # bits of the transitions with the place in their pre- or post-set
     tests = []  # (bit, guard - 1 per pre-place, guard bits of the pre-places)
-    for tid, ps in enumerate(pre_places):
+    for tid, (ps, qs) in enumerate(zip(pre_places, post_places)):
         pre, bit = 0, 1 << tid
         for p in ps:
             pre += unit[p]
             consumers[p] |= bit
+            touching[p] |= bit
+        for q in qs:
+            touching[q] |= bit
         tests.append((bit, pre * (guard - 1), pre * guard))
-    moves = []  # (post - pre, bits of the transitions left as they were, tests to redo)
+    # (post - pre, bits of the transitions left as they were, tests to redo,
+    # bits of the transitions that share no place with it: the independent ones)
+    moves = []
     for ps, qs, (_, _, g) in zip(pre_places, post_places, tests):
-        redo = 0
+        redo = dep = 0
         for p in set(ps).symmetric_difference(qs):
             redo |= consumers[p]
+        for p in (*ps, *qs):
+            dep |= touching[p]
         delta = sum([unit[p] for p in qs]) - (g >> (bits - 1))
         keep, again = ~redo, []
         while redo:
             low = redo & -redo
             redo ^= low
             again.append(tests[low.bit_length() - 1])
-        moves.append((delta, keep, again))
+        moves.append((delta, keep, again, ~dep))
 
     start = sum(k << (bits * i) for i, k in enumerate(start_vec))
     states = [start]
     seen = {start}
     parent, via = array("i", [-1]), array("i", [-1])
     first, narcs = array("q", [0]), 0  # arcs before each state, then in all; may pass 2**31
-    truncated = False
-    # the enabled transitions of each reached state not yet expanded, one bit per id
+    truncated = full = False  # full: max_markings cut a successor, so fire every enabled transition
+    # each reached state not yet expanded, as one int: its enabled transitions,
+    # one bit per id, and above them its sleep mask
     frontier = deque([sum(bit for bit, h, g in tests if (start + h) & g == g)])
+    shift = len(transitions)
+    enabled_bits = (1 << shift) - 1
 
     for head, m in enumerate(states):
-        here = frontier.popleft()
-        narcs += here.bit_count()  # less one for each successor a cap cuts
-        rest = here
+        packed = frontier.popleft()
+        here, done = packed & enabled_bits, packed >> shift
+        narcs += here.bit_count()  # less one for each successor a cap cuts; a sleeping one is stored
+        rest = here if full else here & ~done  # done: the transitions whose successor is stored
         while rest:
             low = rest & -rest
             rest ^= low
             tid = low.bit_length() - 1
-            delta, keep, again = moves[tid]
+            delta, keep, again, independent = moves[tid]
             succ = m + delta
             if (succ + over) & guards:
                 truncated = True
@@ -263,7 +294,7 @@ def reachability(
                 continue
             if succ not in seen:
                 if len(states) >= max_markings:
-                    truncated = True
+                    truncated = full = True
                     narcs -= 1
                     continue
                 seen.add(succ)
@@ -274,10 +305,11 @@ def reachability(
                 for bit, h, g in again:
                     if (succ + h) & g == g:
                         mask |= bit
-                frontier.append(mask)
+                frontier.append(mask | (done & independent) << shift)
+            done |= low
         first.append(narcs)
 
-    rules = tuple((t, h, g, delta) for t, (_, h, g), (delta, _, _) in zip(transitions, tests, moves))
+    rules = tuple((t, h, g, delta) for t, (_, h, g), (delta, *_) in zip(transitions, tests, moves))
     arcs = _Arcs(first, states, rules, (over, guards))
     return ReachGraph(places, arcs, truncated, tuple(transitions), width, states, parent, via)
 

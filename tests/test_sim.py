@@ -286,6 +286,22 @@ def test_source_transitions_match_the_reference_engine():
     assert sources >= 100
 
 
+def test_seeded_nets_at_volume_match_the_reference_engine():
+    # the sweep fires only the transitions outside a state's sleep mask; every
+    # state, path, arc and cut must still be the plain sweep's, whichever cap cuts
+    rng = random.Random(26)
+    seen = {"complete": 0, "cut": 0, "sources": 0}
+    for trial in range(1200):
+        net = random_net(rng, f"x{trial}", max_transitions=rng.choice((3, 6, 9, 12)), max_places=8)
+        if trial % 3 == 0:
+            net, k = without_presets(net, rng)
+            seen["sources"] += k > 0
+        g = assert_same_graph(net, max_markings=rng.choice((-1, 0, 1, 2, 5, 25, 200, 1000)),
+                              max_tokens_per_place=rng.choice((-1, 0, 1, 2, 3, 16, 200)))
+        seen["cut" if g.truncated else "complete"] += 1
+    assert min(seen.values()) >= 200, seen
+
+
 @pytest.mark.parametrize("max_transitions", [40, 70])
 def test_wide_random_nets_match_the_reference_engine(max_transitions):
     # enabled-transition masks wider than one int digit (30 bits) and than 64 bits
@@ -319,9 +335,15 @@ def _net(entries, marking=None):
     (["s t1", "t1 s", "a t1", "t1 b", "s t2", "t2 c"], {"s": 1, "a": 3}),
     # a self-loop place next to a counter that grows past the cap
     (["s t1", "t1 s", "t1 q", "q t2", "t2 r"], {"s": 1}),
+    # expanding state 1, t0 finds a new state, then t3 a later one that t5
+    # leads to as well; were t0's state to sleep t5 because t5's successor was
+    # seen by the end of the expansion, max_markings 5 would count 8 arcs, not 7
+    (["p2 t0", "t0 p2", "t0 p0", "p1 t1", "p2 t1", "t1 p1", "p2 t2", "p0 t2", "t2 p2", "t2 p0", "t2 p1",
+      "p1 t3", "p2 t3", "t3 p2", "p1 t4", "t4 p1", "t4 p2", "p1 t5"], {"p1": 2, "p2": 1}),
 ])
 @pytest.mark.parametrize("caps", [{}, {"max_tokens_per_place": 2}, {"max_markings": 3},
-                                  {"max_tokens_per_place": 130, "max_markings": 60}])
+                                  {"max_tokens_per_place": 130, "max_markings": 60},
+                                  {"max_markings": 5, "max_tokens_per_place": 1}])
 def test_hand_made_nets_match_the_reference_engine(entries, marking, caps):
     assert_same_graph(_net(entries, marking), **caps)
 

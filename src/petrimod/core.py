@@ -197,7 +197,7 @@ def _mint_id(atoms: Iterable[AtomicNodeId], _new=frozenset.__new__) -> NodeId:
     return _new(NodeId, atoms)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Node:
     """A graph node: identity, label, kind."""
 
@@ -404,14 +404,16 @@ class Module:
 
     def _reminted(self, instance_of: Callable[[str], str]) -> "Module":
         """A copy with every atom's instance mapped through `instance_of`,
-        built trusted: one remap per atom and no check.
+        built trusted: one remap per atom and no check.  Each instance is
+        mapped once, so all its atoms share one new instance string.
 
         `instance_of` must map valid instance fields to valid ones and
         distinct instances to distinct ones, so the copy is well formed
         because this module is.  Node, edge, slot, marking and label order
         are kept.  Behind `retagged` and the `.hkl` evaluator's re-minting.
         """
-        remap = {nid: NodeId([_mint_atom(instance_of(a.instance), a.name) for a in nid]) for nid in self.nodes}
+        fresh = {i: instance_of(i) for i in {a.instance for nid in self.nodes for a in nid}}
+        remap = {nid: NodeId([_mint_atom(fresh[a.instance], a.name) for a in nid]) for nid in self.nodes}
         nodes = {remap[nid]: Node(remap[nid], node.label, node.kind) for nid, node in self.nodes.items()}
         get = remap.__getitem__
         return Module._trusted(

@@ -12,24 +12,25 @@ explicit stack, never by recursion on their depth.
 
 Patterns are hash-consed and derivatives memoised, after Clark, "An algorithm
 for RELAX NG validation" (2002): equal patterns are one object, and each
-derivative is taken once per schema state.  An attribute value or a text
-enters a memo key only as the set of data, value and attribute leaves that
-accept it, so the tables grow with the states a schema meets, not with the
-number of documents or of elements it validates.  The document walk reads
-each step from one of these tables, keyed by the pattern and, for a start
-tag or an attribute, the raw tag or key, and calls the derivatives only when
-that lookup misses.
+derivative is taken once per schema state.  The intern table and each
+derivative are one `_Table`, a dict that derives, stores and returns a key it
+lacks, and every derivative and the document walk read them by subscript.
+An attribute value or a text enters a key only as the set of data, value and
+attribute leaves that accept it, so the tables grow with the states a schema
+meets, not with the number of documents or of elements it validates.
 
 Datatypes are the xsd library subset used by the schema: string, token,
 NCName, ID, IDREF, anyURI, nonNegativeInteger, positiveInteger.  ID/IDREF
-get only their lexical check, as plain RELAX NG prescribes.
+get only their lexical check, as plain RELAX NG prescribes.  Whitespace, in
+text between elements and around a datatype's value, is XML's: space, tab,
+CR and LF, never another Unicode space.
 """
 
 from __future__ import annotations
 
 import re
+import weakref
 import xml.etree.ElementTree as ET
-from collections import defaultdict
 from dataclasses import dataclass
 
 __all__ = ["Schema", "ValidationError", "RELAXNG_NS"]
@@ -136,27 +137,29 @@ class After(Pattern):
 _EMPTY = Empty()
 _NOT_ALLOWED = NotAllowed()
 _TEXT = Text()
-_MISS = object()
 
 
-def _memoised(derive):
-    """Keep derive's results in its schema's table named after it, keyed by
-    the arguments, or by the pattern alone when it is the only one: interned
-    patterns, names and leaf sets, which all hash in C."""
-    name = derive.__name__
+class _Table(dict):
+    """A memo: reading a key it lacks derives the value as `derive(schema,
+    key)`, stores it and returns it.  `derive` is a plain function and the
+    schema is held weakly, so a schema and its tables form no reference
+    cycle, and a schema that is dropped is freed at once."""
 
-    def memoised(self, *args):
-        table = self._memo[name]
-        key = args if len(args) > 1 else args[0]
-        out = table.get(key, _MISS)
-        if out is _MISS:
-            out = table[key] = derive(self, *args)
+    __slots__ = ("_derive", "_schema")
+
+    def __init__(self, schema: "Schema", derive):
+        self._derive, self._schema = derive, weakref.ref(schema)
+
+    def __missing__(self, key):
+        out = self[key] = self._derive(self._schema(), key)
         return out
-    return memoised
 
 
 # -- datatypes -------------------------------------------------------------------
 
+# XML whitespace is these four characters only; other Unicode spaces are text
+_WS = " \t\r\n"
+_WS_RUN = re.compile(f"[{_WS}]+")
 _NCNAME = re.compile(r"[A-Za-z_][A-Za-z0-9._\-]*\Z")
 _DIGITS = re.compile(r"[0-9]+\Z")
 _POSITIVE = re.compile(r"0*[1-9][0-9]*\Z")  # no int(): its digit limit would raise
@@ -165,20 +168,20 @@ _DATATYPES = {
     "string": lambda s: True,
     "token": lambda s: True,
     "anyURI": lambda s: True,
-    "NCName": lambda s: bool(_NCNAME.match(s.strip())),
-    "ID": lambda s: bool(_NCNAME.match(s.strip())),
-    "IDREF": lambda s: bool(_NCNAME.match(s.strip())),
-    "nonNegativeInteger": lambda s: bool(_DIGITS.match(s.strip())),
-    "positiveInteger": lambda s: bool(_POSITIVE.match(s.strip())),
+    "NCName": lambda s: bool(_NCNAME.match(s.strip(_WS))),
+    "ID": lambda s: bool(_NCNAME.match(s.strip(_WS))),
+    "IDREF": lambda s: bool(_NCNAME.match(s.strip(_WS))),
+    "nonNegativeInteger": lambda s: bool(_DIGITS.match(s.strip(_WS))),
+    "positiveInteger": lambda s: bool(_POSITIVE.match(s.strip(_WS))),
 }
 
 
 def _is_ws(s: str) -> bool:
-    return s.strip() == ""
+    return not s.strip(_WS)
 
 
 def _collapse(s: str) -> str:
-    return " ".join(s.split())
+    return _WS_RUN.sub(" ", s).strip(" ")
 
 
 def _accept(s: str) -> bool:
@@ -217,13 +220,15 @@ class Schema:
     """Compiled grammar; validate() raises ValidationError on the first defect.
 
     The schema owns the intern table its patterns are built through and the
-    memo tables of their derivatives, so both are freed with it.
+    memo tables of their derivatives, so both are freed with it.  Each table
+    in `_memo` is filled by the method named after it with a leading `_`.
     """
 
     def __init__(self):
         self.start: Pattern = _NOT_ALLOWED
-        self._interned: dict[tuple, Pattern] = {}
-        self._memo: defaultdict = defaultdict(dict)
+        self._interned = _Table(self, lambda _, key: key[0](*key[1:]))
+        self._memo = {name: _Table(self, getattr(Schema, f"_{name}"))
+                      for name in ("nullable", "open", "value_tests", "att", "close", "text", "end")}
 
     @classmethod
     def from_string(cls, text: str) -> "Schema":
@@ -261,7 +266,7 @@ class Schema:
         return schema
 
     def validate(self, root: ET.Element) -> None:
-        if not self.nullable(self._walk(root)):
+        if not self._memo["nullable"][self._walk(root)]:
             raise ValidationError("/: document incomplete")
 
     def validate_string(self, text: str) -> None:
@@ -274,11 +279,7 @@ class Schema:
     # -- hash-consing constructors; they also keep the derivative small
 
     def _make(self, cls: type, *fields) -> Pattern:
-        key = (cls, *fields)
-        p = self._interned.get(key)
-        if p is None:
-            p = self._interned[key] = cls(*fields)
-        return p
+        return self._interned[(cls, *fields)]
 
     def choice(self, p1: Pattern, p2: Pattern) -> Pattern:
         if p1 is _NOT_ALLOWED:
@@ -301,18 +302,19 @@ class Schema:
             return _NOT_ALLOWED
         return self._make(After, p1, p2)
 
-    # -- derivative core, memoised per schema
+    # -- derivative core: each method fills its table in `_memo` and reads
+    #    every derivative, its own included, from the tables
 
-    @_memoised
-    def nullable(self, p: Pattern) -> bool:
+    def _nullable(self, p: Pattern) -> bool:
+        nullable = self._memo["nullable"]
         if isinstance(p, (Empty, Text)):
             return True
         if isinstance(p, Group):
-            return self.nullable(p.p1) and self.nullable(p.p2)
+            return nullable[p.p1] and nullable[p.p2]
         if isinstance(p, Choice):
-            return self.nullable(p.p1) or self.nullable(p.p2)
+            return nullable[p.p1] or nullable[p.p2]
         if isinstance(p, OneOrMore):
-            return self.nullable(p.p)
+            return nullable[p.p]
         return False
 
     def apply_after(self, f, p: Pattern) -> Pattern:
@@ -324,104 +326,106 @@ class Schema:
             return _NOT_ALLOWED
         raise AssertionError(f"apply_after on {type(p).__name__}")
 
-    @_memoised
-    def start_tag_open_deriv(self, p: Pattern, tag: str) -> Pattern:
+    def _open(self, key: tuple[Pattern, str]) -> Pattern:
         """The derivative of p by the start of an element with the raw tag `tag`."""
+        p, tag = key
+        opens = self._memo["open"]
         if isinstance(p, Choice):
-            return self.choice(self.start_tag_open_deriv(p.p1, tag), self.start_tag_open_deriv(p.p2, tag))
+            return self.choice(opens[p.p1, tag], opens[p.p2, tag])
         if isinstance(p, ElementP):
             return self.after(p.p, _EMPTY) if p.nc.contains(_qname(tag)) else _NOT_ALLOWED
         if isinstance(p, After):
-            return self.apply_after(lambda x: self.after(x, p.p2), self.start_tag_open_deriv(p.p1, tag))
+            return self.apply_after(lambda x: self.after(x, p.p2), opens[p.p1, tag])
         if isinstance(p, Group):
-            x = self.apply_after(lambda q: self.group(q, p.p2), self.start_tag_open_deriv(p.p1, tag))
-            return self.choice(x, self.start_tag_open_deriv(p.p2, tag)) if self.nullable(p.p1) else x
+            x = self.apply_after(lambda q: self.group(q, p.p2), opens[p.p1, tag])
+            return self.choice(x, opens[p.p2, tag]) if self._memo["nullable"][p.p1] else x
         if isinstance(p, OneOrMore):
             rest = self.choice(p, _EMPTY)
-            return self.apply_after(lambda q: self.group(q, rest), self.start_tag_open_deriv(p.p, tag))
+            return self.apply_after(lambda q: self.group(q, rest), opens[p.p, tag])
         return _NOT_ALLOWED
 
-    @_memoised
-    def _value_tests(self, p: Pattern, key: str | None) -> tuple:
+    def _value_tests(self, key: tuple[Pattern, str | None]) -> tuple:
         """(leaf, test) for each leaf of p that the attribute derivative by the raw
-        attribute `key` reads, or for key None the text derivative (data, values):
+        attribute `att` reads, or for att None the text derivative (data, values):
         test(value) says whether the leaf accepts the value.  An attribute whose
         content is neither text nor data gets None, and the walk asks `_value_match`."""
+        p, att = key
+        tests = self._memo["value_tests"]
         if isinstance(p, (Choice, Group)):
-            return self._value_tests(p.p1, key) + self._value_tests(p.p2, key)
+            return tests[p.p1, att] + tests[p.p2, att]
         if isinstance(p, (After, OneOrMore)):
-            return self._value_tests(p.p1 if isinstance(p, After) else p.p, key)
-        if key is None:
+            return tests[p.p1 if isinstance(p, After) else p.p, att]
+        if att is None:
             if isinstance(p, Data):
                 return ((p, _DATATYPES[p.type]),)
             return ((p, _equals(p.value)),) if isinstance(p, Value) else ()
-        if isinstance(p, AttributeP) and p.nc.contains(_qname(key)):
+        if isinstance(p, AttributeP) and p.nc.contains(_qname(att)):
             return ((p, _accept if p.p is _TEXT else _DATATYPES[p.p.type] if isinstance(p.p, Data) else None),)
         return ()
 
-    @_memoised
-    def _att_deriv(self, p: Pattern, ok: frozenset) -> Pattern:
-        """The attribute derivative of p, given the attribute leaves that accept it."""
+    def _att(self, key: tuple[Pattern, frozenset]) -> Pattern:
+        """The attribute derivative of p, given the attribute leaves `ok` that accept it."""
+        p, ok = key
+        atts = self._memo["att"]
         if isinstance(p, After):
-            return self.after(self._att_deriv(p.p1, ok), p.p2)
+            return self.after(atts[p.p1, ok], p.p2)
         if isinstance(p, Choice):
-            return self.choice(self._att_deriv(p.p1, ok), self._att_deriv(p.p2, ok))
+            return self.choice(atts[p.p1, ok], atts[p.p2, ok])
         if isinstance(p, Group):
-            return self.choice(self.group(self._att_deriv(p.p1, ok), p.p2),
-                               self.group(p.p1, self._att_deriv(p.p2, ok)))
+            return self.choice(self.group(atts[p.p1, ok], p.p2), self.group(p.p1, atts[p.p2, ok]))
         if isinstance(p, OneOrMore):
-            return self.group(self._att_deriv(p.p, ok), self.choice(p, _EMPTY))
+            return self.group(atts[p.p, ok], self.choice(p, _EMPTY))
         return _EMPTY if p in ok else _NOT_ALLOWED
 
     def _value_match(self, p: Pattern, s: str) -> bool:
-        return (self.nullable(p) and _is_ws(s)) or self.nullable(self.text_deriv(p, s))
+        nullable = self._memo["nullable"]
+        return (nullable[p] and _is_ws(s)) or nullable[self.text_deriv(p, s)]
 
-    @_memoised
-    def start_tag_close_deriv(self, p: Pattern) -> Pattern:
+    def _close(self, p: Pattern) -> Pattern:
+        """The start-tag close derivative of p."""
+        closes = self._memo["close"]
         if isinstance(p, After):
-            return self.after(self.start_tag_close_deriv(p.p1), p.p2)
+            return self.after(closes[p.p1], p.p2)
         if isinstance(p, Choice):
-            return self.choice(self.start_tag_close_deriv(p.p1), self.start_tag_close_deriv(p.p2))
+            return self.choice(closes[p.p1], closes[p.p2])
         if isinstance(p, Group):
-            return self.group(self.start_tag_close_deriv(p.p1), self.start_tag_close_deriv(p.p2))
+            return self.group(closes[p.p1], closes[p.p2])
         if isinstance(p, OneOrMore):
-            q = self.start_tag_close_deriv(p.p)
+            q = closes[p.p]
             return _NOT_ALLOWED if q is _NOT_ALLOWED else self._make(OneOrMore, q)
         if isinstance(p, AttributeP):
             return _NOT_ALLOWED
         return p
 
     def text_deriv(self, p: Pattern, s: str) -> Pattern:
+        """The text derivative of p by s: the table entry for the leaves that accept s."""
         memo = self._memo
-        tests = memo["_value_tests"].get((p, None))
-        if tests is None:
-            tests = self._value_tests(p, None)
-        ok = frozenset([x for x, test in tests if test(s)])
-        out = memo["_text_deriv"].get((p, ok))
-        return self._text_deriv(p, ok) if out is None else out
+        return memo["text"][p, frozenset([x for x, test in memo["value_tests"][p, None] if test(s)])]
 
-    @_memoised
-    def _text_deriv(self, p: Pattern, ok: frozenset) -> Pattern:
-        """The text derivative of p, given the data and value leaves that accept the text."""
+    def _text(self, key: tuple[Pattern, frozenset]) -> Pattern:
+        """The text derivative of p, given the data and value leaves `ok` that accept the text."""
+        p, ok = key
+        texts = self._memo["text"]
         if isinstance(p, Choice):
-            return self.choice(self._text_deriv(p.p1, ok), self._text_deriv(p.p2, ok))
+            return self.choice(texts[p.p1, ok], texts[p.p2, ok])
         if isinstance(p, After):
-            return self.after(self._text_deriv(p.p1, ok), p.p2)
+            return self.after(texts[p.p1, ok], p.p2)
         if isinstance(p, Group):
-            x = self.group(self._text_deriv(p.p1, ok), p.p2)
-            return self.choice(x, self._text_deriv(p.p2, ok)) if self.nullable(p.p1) else x
+            x = self.group(texts[p.p1, ok], p.p2)
+            return self.choice(x, texts[p.p2, ok]) if self._memo["nullable"][p.p1] else x
         if isinstance(p, OneOrMore):
-            return self.group(self._text_deriv(p.p, ok), self.choice(p, _EMPTY))
+            return self.group(texts[p.p, ok], self.choice(p, _EMPTY))
         if isinstance(p, Text):
             return p
         return _EMPTY if p in ok else _NOT_ALLOWED
 
-    @_memoised
-    def end_tag_deriv(self, p: Pattern) -> Pattern:
+    def _end(self, p: Pattern) -> Pattern:
+        """The end-tag derivative of p."""
         if isinstance(p, Choice):
-            return self.choice(self.end_tag_deriv(p.p1), self.end_tag_deriv(p.p2))
+            ends = self._memo["end"]
+            return self.choice(ends[p.p1], ends[p.p2])
         if isinstance(p, After):
-            return p.p2 if self.nullable(p.p1) else _NOT_ALLOWED
+            return p.p2 if self._memo["nullable"][p.p1] else _NOT_ALLOWED
         return _NOT_ALLOWED
 
     def _walk(self, root: ET.Element) -> Pattern:
@@ -431,73 +435,55 @@ class Schema:
         non-whitespace text, or an element's end (None).  The After patterns hold
         what follows each open element, so nothing recurses on document depth.
 
-        Each step is one lookup in a memoised derivative's own table in `_memo`,
-        and the derivative runs only on a miss.  Start tags are keyed by the
-        pattern and the raw tag, close and end tags by the pattern.  An
-        attribute looks up `_value_tests` by the pattern and the raw key, for
-        the leaves that could accept it with their value tests, and the value
-        picks the derivative.
+        Each step reads one table in `_memo`, which derives only what it lacks.
+        Start tags are keyed by the pattern and the raw tag, close and end tags
+        by the pattern.  An attribute reads the value tests by the pattern and
+        the raw key, for the leaves that could accept it, and the leaves that
+        accept its value pick the attribute derivative.
         """
         memo = self._memo
-        opens, atts, att_derivs = memo["start_tag_open_deriv"], memo["_value_tests"], memo["_att_deriv"]
-        closes, ends = memo["start_tag_close_deriv"], memo["end_tag_deriv"]
+        opens, tests, atts, closes, ends = (memo[name] for name in ("open", "value_tests", "att", "close", "end"))
         p = self.start
         tags: list[str] = []  # the open elements, outermost first
         stack: list[ET.Element | str | None] = [root]
         while stack:
             item = stack.pop()
             if item is None:
-                q = ends.get(p)
-                if q is None:
-                    q = self.end_tag_deriv(p)
-                if q is _NOT_ALLOWED:
+                p = ends[p]
+                if p is _NOT_ALLOWED:
                     raise _failure(tags, "content incomplete")
-                p = q
                 tags.pop()
             elif isinstance(item, str):
-                q = self.text_deriv(p, item)
-                if q is _NOT_ALLOWED:
+                p = self.text_deriv(p, item)
+                if p is _NOT_ALLOWED:
                     raise _failure(tags, f"text {item!r} not allowed")
-                p = q
             else:
                 tag = item.tag
-                q = opens.get((p, tag))
-                if q is None:
-                    q = self.start_tag_open_deriv(p, tag)
-                if q is _NOT_ALLOWED:
+                p = opens[p, tag]
+                if p is _NOT_ALLOWED:
                     raise _failure(tags, f"element {_qname(tag)[1]!r} not allowed here")
-                p = q
                 tags.append(tag)
                 for key, value in item.items():
-                    tests = atts.get((p, key))
-                    if tests is None:
-                        tests = self._value_tests(p, key)
-                    ok = frozenset([a for a, test in tests if (test(value) if test else self._value_match(a.p, value))])
-                    q = att_derivs.get((p, ok))
-                    if q is None:
-                        q = self._att_deriv(p, ok)
-                    if q is _NOT_ALLOWED:
+                    ok = frozenset([a for a, test in tests[p, key] if (test(value) if test else self._value_match(a.p, value))])
+                    p = atts[p, ok]
+                    if p is _NOT_ALLOWED:
                         raise _failure(tags, f"attribute {key}={value!r} not allowed")
-                    p = q
-                q = closes.get(p)
-                if q is None:
-                    q = self.start_tag_close_deriv(p)
-                if q is _NOT_ALLOWED:
+                p = closes[p]
+                if p is _NOT_ALLOWED:
                     raise _failure(tags, "required attribute missing")
-                p = q
                 stack.append(None)
                 if len(item):
                     # mixed content: whitespace between child elements is insignificant
                     for child in reversed(item):
-                        if child.tail and child.tail.strip():
+                        if child.tail and not _is_ws(child.tail):
                             stack.append(child.tail)
                         stack.append(child)
-                    if item.text and item.text.strip():
+                    if item.text and not _is_ws(item.text):
                         stack.append(item.text)
                 else:
                     s = item.text or ""
                     q = self.text_deriv(p, s)
-                    if not s.strip():
+                    if _is_ws(s):
                         p = self.choice(q, p)
                     elif q is _NOT_ALLOWED:
                         raise _failure(tags, f"text {s!r} not allowed")
@@ -540,7 +526,7 @@ def _name_class(el: ET.Element, ns: str):
             raise SchemaError("anyName with except is unsupported")
         return AnyName(), children[1:]
     if children and _qname(children[0].tag)[1] == "name":
-        name = (children[0].text or "").strip()
+        name = (children[0].text or "").strip(_WS)
         if not name:
             raise SchemaError(f"{_qname(el.tag)[1]} pattern with an empty name")
         return Name(children[0].get("ns", ns), name), children[1:]

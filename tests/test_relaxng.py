@@ -1,10 +1,13 @@
 import copy
 import dataclasses
+import gc
 import hashlib
 import os
 import random
+import re
 import subprocess
 import sys
+import weakref
 import xml.etree.ElementTree as ET
 from collections import Counter
 from importlib import resources
@@ -112,6 +115,45 @@ def test_id_is_checked_lexically():
         s.validate_string("<e id='has space'/>")
     with pytest.raises(ValidationError):
         s.validate_string("<e id='1starts-with-digit'/>")
+
+
+# Unicode spaces that `str.strip()` and `str.split()` would take for whitespace
+_OTHER_SPACES = pytest.mark.parametrize("space", ["\u00a0", "\u2003", "\u0085"], ids=["no-break", "em", "next-line"])
+
+
+@_OTHER_SPACES
+def test_only_xml_whitespace_surrounds_a_datatype_or_value(space):
+    ids = schema("<element name='e'><attribute name='id'><data type='ID'/></attribute></element>")
+    COUNT.validate_string("<n>&#9;42&#13;&#10; </n>")
+    ATTRS.validate_string("<e must='x' may='&#9; yes&#10;'/>")
+    ids.validate_string("<e id='&#13;a&#9;'/>")
+    for s, doc in [(COUNT, f"<n>42{space}</n>"), (ATTRS, f"<e must='x' may='yes{space}'/>"),
+                   (ids, f"<e id='{space}a'/>")]:
+        with pytest.raises(ValidationError):
+            s.validate_string(doc)
+
+
+@_OTHER_SPACES
+def test_only_xml_whitespace_is_insignificant_in_an_export(phil_env, space):
+    doc = to_pnml(evaluate(phil_env, "phils_in_a_cycle"))
+    between = "</name>\n        <initialMarking>"
+    marking = "<initialMarking>\n          <text>1</text>"
+    assert between in doc and marking in doc
+
+    def verdict(old, new):
+        changed = doc.replace(old, new, 1)
+        got = _verdict(validate_pnml, changed)
+        assert got == _verdict(reference_validate, ptnet_schema(), ET.fromstring(changed))
+        return got
+
+    for ws in (" \t", "&#13;"):
+        assert verdict(between, f"</name>{ws}<initialMarking>") == "valid"
+        assert verdict(marking, f"<initialMarking><text>{ws}1{ws}</text>") == "valid"
+    assert verdict(between, f"</name>{space}<initialMarking>") == (
+        f"invalid: /pnml/net/page/place: text {space!r} not allowed")
+    assert verdict(between, "</name>x<initialMarking>") == "invalid: /pnml/net/page/place: text 'x' not allowed"
+    assert verdict(marking, f"<initialMarking><text>1{space}</text>") == (
+        f"invalid: /pnml/net/page/place/initialMarking/text: text {'1' + space!r} not allowed")
 
 
 def test_choice_and_repetition():
@@ -373,6 +415,27 @@ def test_mutated_exports_get_the_reference_verdicts():
 # patterns without interning, so `choice` compares them by their fields (an
 # ElementP by identity), as the patterns' dataclass equality once did.
 
+# XML whitespace and the datatypes' lexical spaces, kept apart from the
+# validator's own: XML whitespace is space, tab, CR and LF, nothing else.
+_REF_WS = "[ \t\r\n]"
+_REF_LEXICAL = {"NCName": r"[A-Za-z_][A-Za-z0-9._\-]*", "nonNegativeInteger": "[0-9]+",
+                "positiveInteger": "0*[1-9][0-9]*"}
+_REF_LEXICAL["ID"] = _REF_LEXICAL["IDREF"] = _REF_LEXICAL["NCName"]
+
+
+def ref_is_ws(s: str) -> bool:
+    return re.fullmatch(f"{_REF_WS}*", s) is not None
+
+
+def ref_collapse(s: str) -> str:
+    return " ".join(word for word in re.split(_REF_WS, s) if word)
+
+
+def ref_datatype_accepts(type_name: str, s: str) -> bool:
+    lexical = _REF_LEXICAL.get(type_name)  # string, token and anyURI take any text
+    return lexical is None or re.fullmatch(f"{_REF_WS}*(?:{lexical}){_REF_WS}*", s) is not None
+
+
 def _same(p, q) -> bool:
     if p is q or not isinstance(p, rng.Pattern):
         return p == q
@@ -470,7 +533,7 @@ def ref_att_deriv(p, qn, value):
 
 
 def ref_value_match(p, s):
-    return (ref_nullable(p) and rng._is_ws(s)) or ref_nullable(ref_text_deriv(p, s))
+    return (ref_nullable(p) and ref_is_ws(s)) or ref_nullable(ref_text_deriv(p, s))
 
 
 def ref_start_tag_close_deriv(p):
@@ -500,9 +563,9 @@ def ref_text_deriv(p, s):
     if isinstance(p, rng.Text):
         return p
     if isinstance(p, rng.Data):
-        return rng._EMPTY if rng._DATATYPES[p.type](s) else rng._NOT_ALLOWED
+        return rng._EMPTY if ref_datatype_accepts(p.type, s) else rng._NOT_ALLOWED
     if isinstance(p, rng.Value):
-        return rng._EMPTY if rng._collapse(s) == rng._collapse(p.value) else rng._NOT_ALLOWED
+        return rng._EMPTY if ref_collapse(s) == ref_collapse(p.value) else rng._NOT_ALLOWED
     return rng._NOT_ALLOWED
 
 
@@ -542,11 +605,11 @@ def ref_walk(p, root):
                 seq = [item.text]
                 for child in item:
                     seq += (child, child.tail)
-                stack += [x for x in reversed(seq) if isinstance(x, ET.Element) or (x and not rng._is_ws(x))]
+                stack += [x for x in reversed(seq) if isinstance(x, ET.Element) or (x and not ref_is_ws(x))]
             else:
                 s = item.text or ""
                 d = ref_text_deriv(p, s)
-                p = ref_choice(d, p) if rng._is_ws(s) else _ref_check(d, f"text {s!r} not allowed", names)
+                p = ref_choice(d, p) if ref_is_ws(s) else _ref_check(d, f"text {s!r} not allowed", names)
     return p
 
 
@@ -712,20 +775,62 @@ def test_memoised_validator_matches_the_reference_on_random_nets():
 
 # -- work per element -------------------------------------------------------------------
 
-def _relaxng_work_validating_ring(src: str, n: int) -> tuple[int, int]:
+def _ring_root(n: int) -> ET.Element:
+    """The parsed export of the n-philosopher ring, 5n nodes."""
+    src = fixture_path("philosophers.hkl").read_text(encoding="utf-8")
+    env = parse(src + "\nring := (" + " . ".join(["phil_with_forks"] * n) + ")^c\n")
+    return ET.fromstring(to_pnml(evaluate(env, "ring")))
+
+
+def _relaxng_work_validating_ring(n: int) -> tuple[int, int]:
     """Line events inside relaxng.py while a fresh copy of the bundled schema
     validates the n-philosopher ring's export, and the memo entries it made."""
-    env = parse(src + "\nring := (" + " . ".join(["phil_with_forks"] * n) + ")^c\n")
-    root = ET.fromstring(to_pnml(evaluate(env, "ring")))
+    root = _ring_root(n)
     s = _bundled_schema()
     count, _ = line_events(rng.__file__, lambda: s.validate(root))
     return count, sum(len(table) for table in s._memo.values())
 
 
 def test_validating_ring_exports_is_flat_work_per_element():
-    src = fixture_path("philosophers.hkl").read_text(encoding="utf-8")
-    short, short_misses = _relaxng_work_validating_ring(src, 100)
-    long, long_misses = _relaxng_work_validating_ring(src, 200)
+    short, short_misses = _relaxng_work_validating_ring(100)
+    long, long_misses = _relaxng_work_validating_ring(200)
     # every memo miss is a schema state, so twice the elements meet no new one
     assert short_misses == long_misses, (short_misses, long_misses)
     assert long / short <= 2.2, (short, long)
+
+
+def test_a_warm_schema_derives_nothing(monkeypatch):
+    roots = [_ring_root(100), _ring_root(200)]
+    s = _bundled_schema()
+    loaded = s.table_size()  # the patterns interned while compiling
+    derived = []
+    derive = rng._Table.__missing__
+    monkeypatch.setattr(rng._Table, "__missing__", lambda table, key: derived.append(key) or derive(table, key))
+    s.validate(roots[0])
+    assert len(derived) == s.table_size() - loaded  # each new entry is derived once, here
+    derived.clear()
+    for root in roots:  # the same ring again, then one twice its size
+        s.validate(root)
+    assert derived == []
+
+
+def test_table_sizes_after_the_thousand_node_ring_are_pinned():
+    s = _bundled_schema()
+    s.validate(_ring_root(200))
+    assert _table_sizes(s) == {"interned": 130, "nullable": 35, "open": 102, "value_tests": 139, "att": 108,
+                               "close": 57, "text": 20, "end": 18}
+    assert s.table_size() == 609
+
+
+def test_a_dropped_schema_is_freed_at_once():
+    s = _bundled_schema()
+    s.validate(_ring_root(10))
+    freed = weakref.ref(s)
+    was_on = gc.isenabled()
+    gc.disable()
+    try:
+        del s
+        assert freed() is None  # by reference counting alone: no cycle runs through the tables
+    finally:
+        if was_on:
+            gc.enable()

@@ -41,7 +41,20 @@ The sweep stores no arcs, only a running arc count per state: a state's
 arcs are its enabled transitions, in id order, whose successor passed the
 token cap and was stored, so `ReachGraph.arcs` rebuilds a state's row from
 the packed states when it is read.  An `Invariant` of `sum`/`max` clauses is
-evaluated on the packed states through one field mask per clause.
+evaluated on the packed states through one field mask per clause, and builds
+no marking dict but the counterexample's.
+
+Any other callable invariant gets a new marking dict per state from the one
+decoder, `_decode`, which `ReachGraph.marking` shares.  For one-byte fields
+it is a chain of C iterators with no Python frame per state: `to_bytes`,
+then `compress` of the places by those bytes.  One C pass of `high & s`,
+where `high` sets every bit of every field but the lowest, tells whether any
+stored count is above 1.  When none is, as in a safe net, a marking is
+`dict.fromkeys` of its marked places with 1; otherwise they are zipped with
+the nonzero counts that `bytes.translate` keeps.  Wider fields are decoded
+by a generator.  On the 22-philosopher ring (39,603 states, 66 places) a
+state costs about 2.3 us against 3.0 us for a generator over one-byte fields
+(best of 21, CPython 3.11, 2-vCPU Linux host).
 """
 
 from __future__ import annotations
@@ -52,7 +65,7 @@ from bisect import bisect_right
 from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import compress, islice
+from itertools import compress, islice, repeat, tee
 from typing import Callable, Collection, Iterable, Iterator, Mapping, NamedTuple
 
 from .core import NodeId
@@ -144,6 +157,33 @@ class _Arcs(Sequence):
             yield from self._row(s)
 
 
+def _unpack(s: int, width: int, n: int) -> Sequence[int]:
+    """Packed state s's n token counts, as bytes when fields are one byte wide."""
+    raw = s.to_bytes(n * width, "little")
+    if width == 1:
+        return raw
+    return tuple(int.from_bytes(raw[j : j + width], "little") for j in range(0, len(raw), width))
+
+
+def _decode(places: tuple[NodeId, ...], width: int, states: Collection[int]) -> Iterator[Marking]:
+    """The marking dict of each packed state, in order: the one decoder.
+
+    One-byte fields are decoded by a chain of C iterators, with no Python
+    frame per state.  When no stored count is above 1, which one C pass over
+    the states decides, each marking is its marked places with 1 each."""
+    n = len(places)
+    if width != 1:
+        counts = map(_unpack, states, repeat(width), repeat(n))
+        return (dict(zip(compress(places, c), filter(None, c))) for c in counts)
+    raw = map(operator.methodcaller("to_bytes", n, "little"), states)
+    high = int.from_bytes(b"\xfe" * n, "little")  # every bit of every field but the lowest
+    if not any(map(high.__and__, states)):
+        return map(dict.fromkeys, map(compress, repeat(places), raw), repeat(1))
+    raw, kept = tee(raw)
+    counts = map(operator.methodcaller("translate", None, b"\0"), kept)
+    return map(dict, map(zip, map(compress, repeat(places), raw), counts))
+
+
 @dataclass(frozen=True, eq=False)
 class ReachGraph:
     """Reached markings plus the fired-transition arcs between them.
@@ -167,32 +207,18 @@ class ReachGraph:
     def __len__(self) -> int:
         return len(self._states)
 
-    def _counts(self, i: int) -> Sequence[int]:
-        """State i's token counts in `places` order, as bytes when fields are one byte wide."""
-        w = self._width
-        raw = self._states[i].to_bytes(len(self.places) * w, "little")
-        if w == 1:
-            return raw
-        return tuple(int.from_bytes(raw[j : j + w], "little") for j in range(0, len(raw), w))
-
     @property
     def vectors(self) -> tuple[tuple[int, ...], ...]:
         """Every state's token counts, decoded afresh on each access."""
-        return tuple(tuple(self._counts(i)) for i in range(len(self._states)))
+        n = len(self.places)
+        return tuple(tuple(_unpack(s, self._width, n)) for s in self._states)
 
     def marking(self, i: int) -> Marking:
-        counts = self._counts(i)
-        return dict(zip(compress(self.places, counts), filter(None, counts)))
+        return next(_decode(self.places, self._width, (self._states[i],)))
 
     def _markings(self) -> Iterator[Marking]:
-        """Every state's marking in discovery order, decoded inline."""
-        if self._width != 1:
-            yield from map(self.marking, range(len(self._states)))
-            return
-        places, size = self.places, len(self.places)
-        for s in self._states:
-            raw = s.to_bytes(size, "little")
-            yield dict(zip(compress(places, raw), raw.translate(None, b"\0")))
+        """Every state's marking in discovery order, each a new dict."""
+        return _decode(self.places, self._width, self._states)
 
     def path_to(self, i: int) -> tuple[NodeId, ...]:
         """Transitions of one shortest firing sequence from state 0 to state i."""

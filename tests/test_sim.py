@@ -487,6 +487,47 @@ def test_compiled_invariants_agree_with_the_dict_predicate(monkeypatch):
     assert min(seen.values()) >= 100, seen
 
 
+def replayed(net, initial, path):
+    """The marking `path` leads to from `initial`, fired one transition at a time."""
+    m = {p: k for p, k in initial.items() if k}
+    for t in path:
+        m = fire(net, m, t)
+    return m
+
+
+def test_every_marking_a_callable_sees_replays_from_its_path(phil):
+    # the oracle is `fire` along `path_to(i)`, not `g.marking(i)`, which shares
+    # the decoder; seeded nets whose markings hold at most one token per place,
+    # counts above 1, and counts that need two-byte fields
+    rng = random.Random(28)
+    seen = {"one-token": 0, "counts above 1": 0, "wide": 0}
+    nets = [(phil[1], dict(phil[1].marking), MAX_TOKENS_PER_PLACE)]
+    for trial in range(450):
+        net = random_net(rng, f"o{trial}", max_transitions=6, max_places=6)
+        kind = trial % 3
+        initial = {p: rng.randint(0, 1 if kind == 0 else 3) for p in sorted(net.places)}
+        if kind == 2:  # a count of 127 or more needs two-byte fields
+            initial[rng.choice(sorted(net.places))] = rng.choice((127, 200, 1000))
+        cap = rng.choice((1, 16)) if kind == 0 else max(initial.values()) + rng.choice((0, 2, 16))
+        nets.append((net, initial, cap))
+    for net, initial, cap in nets:
+        g = reachability(net, initial, max_markings=rng.choice((5, 40, 300)), max_tokens_per_place=cap)
+        handed = []
+        assert check_invariant(g, lambda m: handed.append(m) or True) is None
+        assert len(handed) == len(g)
+        assert len({id(m) for m in handed}) == len(handed)  # a new dict for each state
+        for i, m in enumerate(handed):
+            assert type(m) is dict and m == replayed(net, initial, g.path_to(i))
+        # the counterexample holds the very dict the callable refused
+        last = len(g) - 1
+        handed.clear()
+        cex = check_invariant(g, lambda m: handed.append(m) or len(handed) <= last)
+        assert cex.marking is handed[-1] and cex.path == g.path_to(last)
+        counts = [k for m in handed for k in m.values()]
+        seen["wide" if g._width > 1 else "counts above 1" if max(counts, default=0) > 1 else "one-token"] += 1
+    assert min(seen.values()) >= 100, seen
+
+
 def test_invariant_clauses_are_checked():
     p = NodeId.single("x", "p")
     for bad in (Clause("min", [p], "<=", 1), Clause("sum", [p], "=<", 1), Clause("sum", [p], "=", 1)):

@@ -328,9 +328,7 @@ class Module:
                 if node.id in node_map:
                     raise MalformedModule(f"node {node.id} defined twice")
                 node_map[node.id] = node
-        # a frozenset is kept as it is: `_problems` unpacks each pair, so a
-        # malformed one raises there what it would raise here, after any node problem
-        edge_set = edges if type(edges) is frozenset else frozenset((src, dst) for src, dst in edges)
+        edge_set = frozenset((src, dst) for src, dst in edges)
         left_if = left if isinstance(left, Interface) else Interface(tuple(left))
         right_if = right if isinstance(right, Interface) else Interface(tuple(right))
         # an int zero is no token; anything else is kept for the checker to judge

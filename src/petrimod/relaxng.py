@@ -159,9 +159,6 @@ class _Table(dict):
 
 # XML whitespace is these four characters only; other Unicode spaces are text
 _WS = " \t\r\n"
-# indentation as pretty-printers write it, `to_pnml` among them: a set lookup
-# settles these, the usual tails, before the exact test strips anything
-_INDENTS = frozenset(["", *("\n" + c * k for c in " \t" for k in range(65))])
 _WS_RUN = re.compile(f"[{_WS}]+")
 _NCNAME = re.compile(r"[A-Za-z_][A-Za-z0-9._\-]*\Z")
 _DIGITS = re.compile(r"[0-9]+\Z")
@@ -180,7 +177,7 @@ _DATATYPES = {
 
 
 def _is_ws(s: str) -> bool:
-    return s in _INDENTS or not s.strip(_WS)
+    return not s.strip(_WS)
 
 
 def _collapse(s: str) -> str:
@@ -446,7 +443,7 @@ class Schema:
         """
         memo = self._memo
         opens, tests, atts, closes, ends = (memo[name] for name in ("open", "value_tests", "att", "close", "end"))
-        indents, ws = _INDENTS, _WS
+        ws = _WS
         p = self.start
         tags: list[str] = []  # the open elements, outermost first
         stack: list[ET.Element | str | None] = [root]
@@ -481,16 +478,16 @@ class Schema:
                     # the XML whitespace test of `_is_ws`, inline
                     for child in reversed(item):
                         s = child.tail
-                        if s and s not in indents and s.strip(ws):
+                        if s and s.strip(ws):
                             stack.append(s)
                         stack.append(child)
                     s = item.text
-                    if s and s not in indents and s.strip(ws):
+                    if s and s.strip(ws):
                         stack.append(s)
                 else:
                     s = item.text or ""
                     q = self.text_deriv(p, s)
-                    if s in indents or not s.strip(ws):
+                    if not s.strip(ws):
                         p = self.choice(q, p)
                     elif q is _NOT_ALLOWED:
                         raise _failure(tags, f"text {s!r} not allowed")

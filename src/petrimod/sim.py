@@ -44,17 +44,20 @@ the packed states when it is read.  An `Invariant` of `sum`/`max` clauses is
 evaluated on the packed states through one field mask per clause, and builds
 no marking dict but the counterexample's.
 
-Any other callable invariant gets a new marking dict per state from the one
-decoder, `_decode`, which `ReachGraph.marking` shares.  For one-byte fields
-it is a chain of C iterators with no Python frame per state: `to_bytes`,
-then `compress` of the places by those bytes.  One C pass of `high & s`,
-where `high` sets every bit of every field but the lowest, tells whether any
-stored count is above 1.  When none is, as in a safe net, a marking is
-`dict.fromkeys` of its marked places with 1; otherwise they are zipped with
-the nonzero counts that `bytes.translate` keeps.  Wider fields are decoded
-by a generator.  On the 22-philosopher ring (39,603 states, 66 places) a
-state costs about 2.3 us against 3.0 us for a generator over one-byte fields
-(best of 21, CPython 3.11, 2-vCPU Linux host).
+Any other callable invariant gets a new marking dict per state from
+`_decode`.  For one-byte fields it takes the states 1,024 at a time, and one
+C pass of `high & s` over a batch, where `high` sets every bit of every
+field but the lowest, tells whether any count in it is above 1.  When none
+is, as in a safe net, the batch is decoded by a chain of C iterators with no
+Python frame per state: `to_bytes`, `compress` of the places by those bytes,
+and `dict.fromkeys` of the marked places with 1.  Otherwise a generator zips
+the marked places with the nonzero counts that `bytes.translate` keeps.
+Wider fields, and `ReachGraph.marking(i)`, are decoded one state at a time
+by `_marking`: for one state a chain's setup costs more than it saves.  On
+the 22-philosopher ring (39,603 states, 66 places) a state costs about 2.4
+us by `fromkeys` against 3.0 us by the generator; a C chain of the zip
+(`tee` of the bytes, `translate`) was no faster, at 3.2 us (medians of 21
+interleaved runs, CPython 3.11, 2-vCPU Linux host).
 """
 
 from __future__ import annotations
@@ -65,7 +68,7 @@ from bisect import bisect_right
 from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import compress, islice, repeat, tee
+from itertools import chain, compress, islice, repeat
 from typing import Callable, Collection, Iterable, Iterator, Mapping, NamedTuple
 
 from .core import NodeId
@@ -165,23 +168,37 @@ def _unpack(s: int, width: int, n: int) -> Sequence[int]:
     return tuple(int.from_bytes(raw[j : j + width], "little") for j in range(0, len(raw), width))
 
 
-def _decode(places: tuple[NodeId, ...], width: int, states: Collection[int]) -> Iterator[Marking]:
-    """The marking dict of each packed state, in order: the one decoder.
+def _marking(places: tuple[NodeId, ...], width: int, s: int) -> Marking:
+    """Packed state s's marking dict, decoded on its own."""
+    counts = _unpack(s, width, len(places))
+    return dict(zip(compress(places, counts), filter(None, counts)))
 
-    One-byte fields are decoded by a chain of C iterators, with no Python
-    frame per state.  When no stored count is above 1, which one C pass over
-    the states decides, each marking is its marked places with 1 each."""
-    n = len(places)
+
+_BATCH = 1024  # states per count test of `_decode_bytes`
+
+
+def _decode(places: tuple[NodeId, ...], width: int, states: Sequence[int]) -> Iterator[Marking]:
+    """The marking dict of each packed state, in order.
+
+    One-byte fields are decoded `_BATCH` states at a time by `_decode_bytes`,
+    so the count test reads at most one batch ahead of the markings; wider
+    fields state by state."""
     if width != 1:
-        counts = map(_unpack, states, repeat(width), repeat(n))
-        return (dict(zip(compress(places, c), filter(None, c))) for c in counts)
-    raw = map(operator.methodcaller("to_bytes", n, "little"), states)
-    high = int.from_bytes(b"\xfe" * n, "little")  # every bit of every field but the lowest
-    if not any(map(high.__and__, states)):
-        return map(dict.fromkeys, map(compress, repeat(places), raw), repeat(1))
-    raw, kept = tee(raw)
-    counts = map(operator.methodcaller("translate", None, b"\0"), kept)
-    return map(dict, map(zip, map(compress, repeat(places), raw), counts))
+        return map(_marking, repeat(places), repeat(width), states)
+    high = int.from_bytes(b"\xfe" * len(places), "little")  # every bit of every field but the lowest
+    return chain.from_iterable(
+        _decode_bytes(places, high, states[j : j + _BATCH]) for j in range(0, len(states), _BATCH))
+
+
+def _decode_bytes(places: tuple[NodeId, ...], high: int, states: Sequence[int]) -> Iterator[Marking]:
+    """Markings of one batch of one-byte-field states.  When no count in the
+    batch is above 1, which one C pass of `high & s` decides, each marking
+    is its marked places with 1, by a chain of C iterators with no Python
+    frame per state."""
+    raw = map(operator.methodcaller("to_bytes", len(places), "little"), states)
+    if any(map(high.__and__, states)):
+        return (dict(zip(compress(places, r), r.translate(None, b"\0"))) for r in raw)
+    return map(dict.fromkeys, map(compress, repeat(places), raw), repeat(1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,7 +231,7 @@ class ReachGraph:
         return tuple(tuple(_unpack(s, self._width, n)) for s in self._states)
 
     def marking(self, i: int) -> Marking:
-        return next(_decode(self.places, self._width, (self._states[i],)))
+        return _marking(self.places, self._width, self._states[i])
 
     def _markings(self) -> Iterator[Marking]:
         """Every state's marking in discovery order, each a new dict."""

@@ -5,6 +5,7 @@ import tracemalloc
 
 import pytest
 
+from petrimod import sim
 from petrimod import (NodeId, check_invariant, enabled, evaluate, fire, fixture_path, parse, reachability,
                       validate_net)
 from petrimod.errors import NotEnabled, UnknownTransition
@@ -495,10 +496,12 @@ def replayed(net, initial, path):
     return m
 
 
-def test_every_marking_a_callable_sees_replays_from_its_path(phil):
+def test_every_marking_a_callable_sees_replays_from_its_path(phil, monkeypatch):
     # the oracle is `fire` along `path_to(i)`, not `g.marking(i)`, which shares
-    # the decoder; seeded nets whose markings hold at most one token per place,
-    # counts above 1, and counts that need two-byte fields
+    # its per-state decode with the decoder's wide path; seeded nets whose
+    # markings hold at most one token per place, counts above 1, and counts
+    # that need two-byte fields; small batches mix batches with and without a
+    # count above 1 in one graph
     rng = random.Random(28)
     seen = {"one-token": 0, "counts above 1": 0, "wide": 0}
     nets = [(phil[1], dict(phil[1].marking), MAX_TOKENS_PER_PLACE)]
@@ -511,6 +514,7 @@ def test_every_marking_a_callable_sees_replays_from_its_path(phil):
         cap = rng.choice((1, 16)) if kind == 0 else max(initial.values()) + rng.choice((0, 2, 16))
         nets.append((net, initial, cap))
     for net, initial, cap in nets:
+        monkeypatch.setattr(sim, "_BATCH", rng.choice((1, 3, 1024)))
         g = reachability(net, initial, max_markings=rng.choice((5, 40, 300)), max_tokens_per_place=cap)
         handed = []
         assert check_invariant(g, lambda m: handed.append(m) or True) is None

@@ -95,26 +95,3 @@ def test_names_and_labels_are_strings():
     for label in (7, None, ""):
         with pytest.raises(MalformedModule, match="label"):
             Node(Y, label, Kind.PLACE)
-
-
-def _error(make):
-    with pytest.raises(Exception) as info:
-        make()
-    return type(info.value), str(info.value)
-
-
-@pytest.mark.parametrize("bad, kind", [
-    ((P.id, T.id, Q.id), ValueError),  # too many values to unpack
-    ((P.id,), ValueError),  # not enough
-    (7, TypeError),  # not a pair at all
-    ((T.id, GHOST), MalformedModule),  # a pair naming an unknown node
-], ids=["3-tuple", "1-tuple", "int", "unknown node"])
-def test_a_frozenset_of_edges_is_kept_and_fails_as_any_iterable(bad, kind):
-    # a frozenset is not rebuilt pair by pair, so the checker's own unpacking
-    # must raise what the rebuild raised, with the same message
-    edges = [(P.id, T.id), bad]
-    kept = _error(lambda: Module(**_parts(edges=frozenset(edges))))
-    assert kept[0] is kind
-    assert kept == _error(lambda: Module(**_parts(edges=edges))) == _error(lambda: Module(**_parts(edges=iter(edges))))
-    good = frozenset(_parts()["edges"])
-    assert Module(**_parts(edges=good)).edges is good
